@@ -15,6 +15,7 @@ by radial quadrature.
 import numpy as np
 import scipy.sparse as sparse
 from scipy.integrate import simpson
+from scipy.spatial import cKDTree
 
 from .graph_core import Graph
 
@@ -363,25 +364,24 @@ def sample_points(domain, density, n, seed, min_acceptance=1e-3):
     return np.concatenate(chunks, axis=0)[:n]
 
 
-def _forward_offsets(d):
-    # offsets into {-1,0,1}^d that are lexicographically positive, so each
-    # ordered cell pair is visited exactly once
-    offs = []
-    grids = np.meshgrid(*([(-1, 0, 1)] * d), indexing="ij")
-    for o in np.stack([g.ravel() for g in grids], axis=1):
-        nz = np.nonzero(o)[0]
-        if nz.size and o[nz[0]] > 0:
-            offs.append(o)
-    return np.array(offs, dtype=np.int64)
-
-
 def build_graph(points, eps, kernel, seed=None):
     """Build the eps-neighborhood geometric graph
     ======
 
-    Connects all pairs within distance eps using uniform-cell binning with
-    cell side eps (exact pairwise distances, no approximation), and stores
-    self-weights w_xx = eta_eps(0).
+    Candidate pairs come from a kd-tree (``cKDTree.query_pairs``) searched
+    at radius eps (1 + 1e-9), a superset of the edges.  The kd-tree
+    compares squared distances in its own summation order, so each
+    candidate is then tested exactly: its distance is recomputed as the
+    square root of the squared coordinate differences summed in axis
+    order, and the pair is an edge when that distance is <= eps (ties at
+    exactly eps included) and its weight eta_eps(dist) is positive.  The
+    weights use the same distances, so edge sets and weights do not
+    depend on the search.  Self-weights are w_xx = eta_eps(0).
+
+    Transient memory beyond the returned graph is about 40 bytes per
+    candidate pair (55 for the bump kernel, whose evaluation needs more
+    temporaries): the search result is cut to int32 endpoints at once and
+    the distances are accumulated in place, one axis at a time.
 
     Parameters
     ----------
@@ -408,64 +408,25 @@ def build_graph(points, eps, kernel, seed=None):
         raise ValueError("n * eps^d = %.3g < 1; graph too sparse to be meaningful"
                          % (n * eps**d,))
 
-    lo = points.min(axis=0)
-    cells = np.floor((points - lo) / eps).astype(np.int64)
-    shape = cells.max(axis=0) + 1
-    flat = np.ravel_multi_index(tuple(cells.T), tuple(shape))
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    uniq, starts = np.unique(sorted_flat, return_index=True)
-    ends = np.append(starts[1:], n)
-    span = {int(f): (int(s), int(e)) for f, s, e in zip(uniq, starts, ends)}
-    strides = np.array([int(np.prod(shape[i + 1:])) for i in range(d)], dtype=np.int64)
-    offsets = _forward_offsets(d)
-
-    rows, cols, dists = [], [], []
-
-    def _collect(ia, ib, cross):
-        # pairwise distances between two index blocks, chunked to bound memory
-        pa = points[ia]
-        step = max(1, int(4e6) // max(1, ib.size))
-        for s in range(0, ia.size, step):
-            block = pa[s:s + step]
-            dd = np.sqrt(np.sum((block[:, None, :] - points[ib][None, :, :]) ** 2, axis=2))
-            if cross:
-                sel = dd <= eps
-                r, c = np.nonzero(sel)
-            else:
-                r, c = np.triu_indices(block.shape[0], k=1, m=ib.size)
-                keep = dd[r, c] <= eps
-                r, c = r[keep], c[keep]
-            if r.size:
-                a = ia[s:s + step][r]
-                b = ib[c]
-                rows.append(np.minimum(a, b))
-                cols.append(np.maximum(a, b))
-                dists.append(dd[r, c] if cross else
-                             np.sqrt(np.sum((points[a] - points[b]) ** 2, axis=1)))
-
-    for f, (s0, e0) in span.items():
-        ia = order[s0:e0]
-        _collect(ia, ia, cross=False)
-        coords = np.array(np.unravel_index(f, tuple(shape)))
-        for o in offsets:
-            nb = coords + o
-            if np.any(nb < 0) or np.any(nb >= shape):
-                continue
-            fnb = int(nb @ strides)
-            if fnb in span:
-                s1, e1 = span[fnb]
-                _collect(ia, order[s1:e1], cross=True)
-
-    if rows:
-        i = np.concatenate(rows)
-        j = np.concatenate(cols)
-        dv = np.concatenate(dists)
-        w = kernel.eta_eps(dv, eps)
-        keep = w > 0
-        upper = sparse.coo_matrix((w[keep], (i[keep], j[keep])), shape=(n, n))
-    else:
-        upper = sparse.coo_matrix((n, n))
+    pairs = cKDTree(points).query_pairs(eps * (1 + 1e-9), output_type="ndarray")
+    i = pairs[:, 0].astype(np.int32)
+    j = pairs[:, 1].astype(np.int32)
+    del pairs
+    dist = np.zeros(i.size)
+    diff = np.empty(i.size)
+    for a in range(d):
+        col = points[:, a]
+        np.take(col, i, out=diff)
+        diff -= col[j]
+        diff *= diff
+        dist += diff
+    del diff
+    np.sqrt(dist, out=dist)
+    w = kernel.eta_eps(dist, eps)
+    keep = (dist <= eps) & (w > 0)
+    if not keep.all():
+        i, j, w = i[keep], j[keep], w[keep]
+    upper = sparse.coo_matrix((w, (i, j)), shape=(n, n))
     diag = np.full(n, eps ** (-d) * kernel.eta0)
     return Graph(points, upper, diag, eps, kernel=kernel, seed=seed)
 

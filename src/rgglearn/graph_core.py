@@ -12,6 +12,7 @@ of self-weights) and applied symmetrically.
 """
 
 import enum
+import os
 
 import numpy as np
 import scipy.sparse as sparse
@@ -58,13 +59,19 @@ class Graph:
         if self.points.ndim != 2:
             raise ValueError("points must be a 2-d array of shape (n,d)")
         n = self.points.shape[0]
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("non-finite point coordinate")
         self._upper = sparse.csr_matrix(upper, shape=(n, n))
         self._upper.sum_duplicates()
+        if not np.all(np.isfinite(self._upper.data)):
+            raise ValueError("non-finite edge weight")
         if np.any(self._upper.data < 0):
             raise ValueError("negative edge weight")
         self._diag = np.asarray(diag, dtype=np.float64)
         if self._diag.shape != (n,):
             raise ValueError("diagonal length mismatch")
+        if not np.all(np.isfinite(self._diag)):
+            raise ValueError("non-finite self-weight")
         if np.any(self._diag < 0):
             raise ValueError("negative self-weight")
         self.eps = float(eps)
@@ -73,7 +80,8 @@ class Graph:
         self.seed = seed
         # cache degrees once; every normalized operator divides by them
         self.degrees = self.wmul(np.ones(n))
-        assert np.all(np.isfinite(self.degrees)) and np.all(self.degrees >= 0)
+        if not np.all(np.isfinite(self.degrees)):
+            raise ValueError("non-finite degree (edge weights overflow)")
         ncomp = csgraph.connected_components(self._upper, directed=False, return_labels=False)
         self.connected = bool(ncomp == 1)
 
@@ -304,7 +312,9 @@ def save_graph(g, path):
     Writes an edge-list CSV with header ``i,j,w`` (one row per stored
     entry, i <= j, self-weights on i == j), a sidecar ``<path>.meta``
     with n, d, eps, kernel name, sigma_eta, seed, and a companion points
-    CSV referenced from the sidecar.
+    CSV ``<path>.points`` referenced from the sidecar by its file name, so
+    the three files load from any working directory and can be moved
+    together.
     """
     i, j, w = g.edge_arrays()
     with open(path, "w") as fh:
@@ -325,11 +335,15 @@ def save_graph(g, path):
         fh.write("kernel=%s\n" % kname)
         fh.write("sigma_eta=%.17g\n" % g.sigma_eta)
         fh.write("seed=%s\n" % ("" if g.seed is None else g.seed))
-        fh.write("points=%s\n" % pts_path)
+        fh.write("points=%s\n" % os.path.basename(pts_path))
 
 
 def load_graph(path):
-    """Load a graph written by save_graph."""
+    """Load a graph written by save_graph.
+
+    A relative ``points=`` path in the sidecar is resolved against the
+    directory of the graph file; an absolute one is used as is.
+    """
     meta = {}
     with open(path + ".meta") as fh:
         for line in fh:
@@ -342,7 +356,8 @@ def load_graph(path):
     eps = float(meta["eps"])
     sigma_eta = float(meta["sigma_eta"])
     seed = int(meta["seed"]) if meta.get("seed") else None
-    points = np.loadtxt(meta["points"], delimiter=",", skiprows=1, ndmin=2)
+    pts_path = os.path.join(os.path.dirname(path), meta["points"])
+    points = np.loadtxt(pts_path, delimiter=",", skiprows=1, ndmin=2)
     if points.shape != (n, d):
         raise ValueError("points file shape %r does not match metadata (n=%d, d=%d)"
                          % (points.shape, n, d))

@@ -15,7 +15,6 @@ support.
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.signal import fftconvolve
 from scipy.special import j0
 
 from .geometry import BALL_VOLUME, Box
@@ -344,6 +343,8 @@ def repeated_average(density, domain, kernel, eps, x0, k, h):
     -------
     GridField
     """
+    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
+
     x0 = np.asarray(x0, dtype=float)
     if h > eps / 8 + 1e-12:
         raise ValueError("grid too coarse: h must be <= eps/8")
@@ -439,6 +440,8 @@ class RadialKernelTable:
 
 def _psi_grid(kernel, d, k):
     """psi_k at eps = 1 by binary-exponentiation grid self-convolution."""
+    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
+
     # resolution: resolve the base kernel well and keep the final grid small
     h = min(1.0 / 128, np.sqrt(k) / 256) if d == 2 else min(1.0 / 1024, np.sqrt(k) / 4096)
     base = _cell_average_axes(kernel, 1.0, h, d, sub=8)

@@ -67,26 +67,31 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
     """Preconditioned CG with optional iterate projection.
 
     tol_check(r) decides convergence; the recurrence residual is confirmed
-    against a freshly computed one before returning.
+    against a freshly computed one before returning.  A restart after a
+    non-positive curvature p.Ap counts toward maxiter but not toward the
+    returned iteration count.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if project is not None:
         x = project(x)
     total = 0
+    restarts = 0
     while True:
         r = b - matvec(x)
         if tol_check(r):
             return x, total, float(np.linalg.norm(r))
-        if total >= maxiter:
-            raise RuntimeError("CG did not converge within %d iterations" % maxiter)
+        if total + restarts >= maxiter:
+            raise RuntimeError("CG did not converge within %d iterations (%d restarts)"
+                               % (maxiter, restarts))
         z = r * minv if minv is not None else r
         p = z.copy()
         rz = float(r @ z)
-        while total < maxiter:
+        while total + restarts < maxiter:
             Ap = matvec(p)
             pAp = float(p @ Ap)
             if pAp <= 0:
-                break  # loss of positive-definiteness in finite precision; restart
+                restarts += 1  # loss of positive-definiteness in finite precision
+                break
             alpha = rz / pAp
             x += alpha * p
             if project is not None:

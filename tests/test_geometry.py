@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rgglearn.geometry import (
     Box,
@@ -204,6 +206,57 @@ def test_build_graph_matches_quadratic_scan():
     W = g.weight_matrix().toarray()
     assert np.max(np.abs(W - Wref)) < 1e-12 * Wref.max()
     assert (W > 0).sum() == (Wref > 0).sum()
+
+
+def brute_force_edges(pts, eps, kernel):
+    # O(n^2) oracle: every pair i < j, distance summed over axes in order
+    i, j = np.triu_indices(pts.shape[0], k=1)
+    dist = np.sqrt(np.sum((pts[i] - pts[j]) ** 2, axis=1))
+    w = kernel.eta_eps(dist, eps)
+    keep = (dist <= eps) & (w > 0)
+    return i[keep], j[keep], w[keep]
+
+
+def assert_matches_brute_force(pts, eps, kernel):
+    g = build_graph(pts, eps, kernel)
+    i, j, w = g.edge_arrays()
+    off = i != j
+    bi, bj, bw = brute_force_edges(pts, eps, kernel)
+    assert np.array_equal(i[off], bi) and np.array_equal(j[off], bj)
+    assert np.array_equal(w[off], bw)  # bit-equal, not just close
+    return bi.size
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([1, 2, 3]),
+       variant=st.sampled_from(["indicator", "cone", "bump"]),
+       n=st.integers(2, 80),
+       seed=st.integers(0, 2**31 - 1),
+       eps_frac=st.floats(0.0, 1.0),
+       quantum=st.sampled_from([None, 4, 8, 10]))
+def test_build_graph_matches_brute_force_property(d, variant, n, seed, eps_frac, quantum):
+    pts = np.random.default_rng(seed).random((n, d))
+    eps_min = n ** (-1.0 / d)
+    eps = eps_min + eps_frac * (0.8 - min(eps_min, 0.8))
+    if quantum is not None:
+        # points and eps on a 1/quantum lattice, so many pairs tie at eps
+        pts = np.round(pts * quantum) / quantum
+        eps = max(np.ceil(eps * quantum), 1.0) / quantum
+    assert_matches_brute_force(pts, eps, make_kernel(variant, d))
+
+
+@pytest.mark.parametrize("variant", ["indicator", "cone", "bump"])
+@pytest.mark.parametrize("h", [0.25, 0.1, 1.0 / 30])
+@pytest.mark.parametrize("radius", [1.0, np.sqrt(2.0)])
+def test_build_graph_lattice_ties(variant, h, radius):
+    # 30 x 30 lattice with spacing h, eps at exactly one or sqrt(2) spacings
+    a = np.arange(30) * h
+    pts = np.stack([x.ravel() for x in np.meshgrid(a, a, indexing="ij")], axis=1)
+    nedges = assert_matches_brute_force(pts, radius * h, make_kernel(variant, 2))
+    if variant == "indicator" and h == 0.25:
+        # dyadic coordinates make every tie at eps exact, and ties are kept:
+        # 2 * 30 * 29 axis neighbours, plus 2 * 29 * 29 diagonals at sqrt(2) h
+        assert nedges == (1740 if radius == 1.0 else 1740 + 1682)
 
 
 def test_build_graph_weights_recomputable():

@@ -272,3 +272,55 @@ def test_save_load_round_trip(tmp_path):
     d = (g.weight_matrix() - g2.weight_matrix()).tocoo()
     assert d.nnz == 0 or np.max(np.abs(d.data)) < 1e-15
     assert np.allclose(g2.degrees, g.degrees)
+
+
+def test_save_load_from_other_working_directory(tmp_path, monkeypatch):
+    g, _ = random_graph(12, seed=31)
+    sub = tmp_path / "sub"
+    sub.mkdir()
+    monkeypatch.chdir(tmp_path)
+    save_graph(g, os.path.join("sub", "g.csv"))
+    with open(sub / "g.csv.meta") as fh:
+        assert "points=g.csv.points\n" in fh.read()
+    monkeypatch.chdir(sub)
+    loaded = [load_graph("g.csv")]
+    monkeypatch.chdir(tmp_path.parent)
+    loaded.append(load_graph(str(sub / "g.csv")))
+    # a sidecar holding an absolute points path still loads
+    meta = (sub / "g.csv.meta").read_text()
+    (sub / "g.csv.meta").write_text(
+        meta.replace("points=g.csv.points", "points=%s" % (sub / "g.csv.points")))
+    monkeypatch.chdir(tmp_path)
+    loaded.append(load_graph(os.path.join("sub", "g.csv")))
+    for g2 in loaded:
+        assert np.array_equal(g2.points, g.points)
+        assert (g2.weight_matrix() != g.weight_matrix()).nnz == 0
+
+
+def test_graph_rejects_non_finite_points():
+    pts = np.array([[0.0], [np.nan]])
+    with pytest.raises(ValueError, match="non-finite point"):
+        Graph(pts, sparse.coo_matrix(([1.0], ([0], [1])), shape=(2, 2)), np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_rejects_non_finite_edge_weight(bad):
+    pts = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="non-finite edge weight"):
+        Graph(pts, sparse.coo_matrix(([bad], ([0], [1])), shape=(2, 2)), np.ones(2), 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_graph_rejects_non_finite_self_weight(bad):
+    pts = np.array([[0.0], [1.0]])
+    with pytest.raises(ValueError, match="non-finite self-weight"):
+        Graph(pts, sparse.coo_matrix(([1.0], ([0], [1])), shape=(2, 2)),
+              np.array([1.0, bad]), 1.0)
+
+
+def test_graph_rejects_overflowing_degree():
+    # finite weights whose row sum overflows: a ValueError, also under python -O
+    pts = np.array([[0.0], [1.0], [2.0]])
+    upper = sparse.coo_matrix(([1e308, 1e308], ([0, 0], [1, 2])), shape=(3, 3))
+    with pytest.raises(ValueError, match="non-finite degree"):
+        Graph(pts, upper, np.ones(3), 1.0)

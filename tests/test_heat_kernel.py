@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -470,3 +474,13 @@ def test_grid_field_sampling():
     # clamped outside the sample hull
     edge = fld.sample(np.array([[-1.0, 0.25]]))
     assert abs(edge[0] - (2.0 * 0.5 - 3.0 * 0.25)) < 1e-12
+
+
+def test_import_defers_scipy_signal():
+    # scipy.signal is slow to import; only the grid convolutions need it
+    import rgglearn
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rgglearn.__file__))
+    code = "import sys, rgglearn; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

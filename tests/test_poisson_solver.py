@@ -13,6 +13,7 @@ from rgglearn.graph_core import (
 )
 from rgglearn.poisson_solver import (
     SourceSpec,
+    _pcg,
     assemble_source,
     pwll_gamma,
     solve_graph_poisson,
@@ -220,3 +221,17 @@ def test_pwll_runs_and_respects_labels():
     assert u.values[70] == -1.0
     assert u.values.min() >= -1.0 - 1e-8
     assert u.values.max() <= 1.0 + 1e-8
+
+
+def test_pcg_restarts_count_toward_maxiter():
+    # p.Ap = 0 on every first inner step: each restart must use up maxiter
+    calls = []
+
+    def zero(v):
+        calls.append(1)
+        if len(calls) > 100:
+            raise AssertionError("restart loop does not terminate")
+        return 0.0 * v
+
+    with pytest.raises(RuntimeError, match="within 5 iterations"):
+        _pcg(zero, np.ones(4), lambda r: False, maxiter=5)
