@@ -222,7 +222,7 @@ class ExperimentConfig:
         dist = min(self.domain.boundary_distance(p) for p in pts)
         margin = dist / (24.0 * (self.d + 2))
         return {
-            "graph_scaling": bool(n >= 2 and 0 < eps <= 1 and n * eps**self.d >= 1),
+            "graph_scaling": bool(n >= 2 and 0 < eps <= 1 and n * eps**self.d >= 1 - 1e-12),
             "heat_scaling": bool(0 < eps <= 0.5 and eps_k <= 1 + 1e-12),
             "label_margin": bool(eps_k * math.sqrt(math.log(1.0 / eps)) <= margin),
         }

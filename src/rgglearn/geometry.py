@@ -404,7 +404,8 @@ def build_graph(points, eps, kernel, seed=None):
         raise ValueError("kernel dimension %d does not match points (%d)" % (kernel.d, d))
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if n * eps**d < 1.0:
+    # slack of a few ulps: eps = n**(-1/d) can round n * eps**d to just below 1
+    if n * eps**d < 1.0 - 1e-12:
         raise ValueError("n * eps^d = %.3g < 1; graph too sparse to be meaningful"
                          % (n * eps**d,))
 

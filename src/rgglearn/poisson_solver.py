@@ -12,9 +12,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .geometry import closest_point
-from .graph_core import GraphFunction
+from .graph_core import GraphFunction, _run_pair
 
 
 class SourceSpec:
@@ -67,19 +68,31 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
     """Preconditioned CG with optional iterate projection.
 
     tol_check(r) decides convergence; the recurrence residual is confirmed
-    against a freshly computed one before returning.  A restart after a
-    non-positive curvature p.Ap counts toward maxiter but not toward the
-    returned iteration count.
+    against a freshly computed one before returning.  When the recurrence
+    residual passes but the fresh one fails, CG restarts from the fresh one;
+    if that residual is not below half of the previous restart's, the
+    tolerance is out of reach in floating point and RuntimeError is raised
+    at once.  A restart after a non-positive curvature p.Ap counts toward
+    maxiter but not toward the returned iteration count.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if project is not None:
         x = project(x)
     total = 0
     restarts = 0
+    rnorm_prev = None
+    passed = False  # the last inner pass ended with the recurrence residual passing
     while True:
         r = b - matvec(x)
         if tol_check(r):
             return x, total, float(np.linalg.norm(r))
+        rnorm = float(np.linalg.norm(r))
+        if passed and not rnorm < 0.5 * rnorm_prev:
+            raise RuntimeError("CG stagnated at residual %.6g (previous restart %.6g) after "
+                               "%d iterations; the tolerance is not reachable"
+                               % (rnorm, rnorm_prev, total))
+        rnorm_prev = rnorm
+        passed = False
         if total + restarts >= maxiter:
             raise RuntimeError("CG did not converge within %d iterations (%d restarts)"
                                % (maxiter, restarts))
@@ -99,6 +112,7 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
             r -= alpha * Ap
             total += 1
             if tol_check(r):
+                passed = True
                 break
             z = r * minv if minv is not None else r
             rz_new = float(r @ z)
@@ -168,6 +182,27 @@ def _collect_labels(g, labels):
     return idx, vals
 
 
+def _row_halves(A):
+    """Split a CSR matrix at its middle stored entry into two row blocks.
+
+    The blocks are views of A's data and index arrays, and each row is
+    summed exactly as A @ v sums it, so stacking their products reproduces
+    A @ v bit for bit.
+    """
+    mid = int(np.searchsorted(A.indptr, A.nnz // 2))
+    blocks = []
+    for start, stop in ((0, mid), (mid, A.shape[0])):
+        lo, hi = A.indptr[start], A.indptr[stop]
+        block = sparse.csr_matrix((stop - start, A.shape[1]), dtype=A.dtype)
+        # assigned after construction: the constructor copies a view that
+        # holds less than half of its base array
+        block.indptr = A.indptr[start:stop + 1] - lo
+        block.indices = A.indices[lo:hi]
+        block.data = A.data[lo:hi]
+        blocks.append(block)
+    return blocks
+
+
 def solve_laplace_learning(g, labels, tol=1e-9):
     """Laplace learning (harmonic label extension)
     ======
@@ -194,12 +229,14 @@ def solve_laplace_learning(g, labels, tol=1e-9):
     U = np.nonzero(mask)[0]
     if U.size == 0:
         return GraphFunction(g, out)
-    W = g.weight_matrix()
-    WUU = W[U, :][:, U]
-    b = np.asarray(W[U, :][:, idx] @ vals).ravel()
+    WU = g.weight_matrix()[U, :]
+    WUU = WU[:, U]
+    b = np.asarray(WU[:, idx] @ vals).ravel()
+    top, bottom = _row_halves(WUU)
     degU = g.degrees[U]
     diagU = degU - g.self_weights[U]
-    matvec = lambda v: degU * v - WUU @ v
+    matvec = lambda v: degU * v - np.concatenate(
+        _run_pair(lambda: top @ v, lambda: bottom @ v, WUU.nnz // 2))
     check = lambda r: np.max(np.abs(r) / degU) <= tol
     x0 = np.full(U.size, vals.mean())
     x, _, _ = _pcg(matvec, b, check, x0=x0, minv=1.0 / diagU, maxiter=10 * g.n)

@@ -115,6 +115,13 @@ def test_checks_booleans():
     assert tiny["label_margin"]
 
 
+def test_graph_scaling_accepts_rounded_boundary():
+    # n * eps^d rounds to 0.9999999999999999; build_graph accepts this graph
+    cfg = ExperimentConfig()
+    assert cfg.d == 2 and 20 * (20 ** -0.5) ** 2 < 1.0
+    assert cfg.checks(n=20, eps=20 ** -0.5, k=1)["graph_scaling"]
+
+
 def test_zero_coefficient_source(tmp_path):
     cfg = make_config(tmp_path, **{"run.seeds": "2",
                                    "source.coefficients": "0 0",

@@ -353,3 +353,11 @@ def test_points_csv_round_trip(tmp_path):
         assert fh.readline().strip() == "x0,x1,x2"
     back = load_points(path)
     assert np.array_equal(back, pts)
+
+
+@pytest.mark.parametrize("n,d", [(49, 1), (5, 2), (20, 2), (49, 2)])
+def test_build_graph_accepts_n_eps_d_equal_one(n, d):
+    # n * (n ** (-1/d)) ** d rounds to 0.9999999999999999 for these n, d
+    assert n * (n ** (-1.0 / d)) ** d < 1.0
+    pts = np.random.default_rng(0).random((n, d))
+    build_graph(pts, n ** (-1.0 / d), make_kernel("indicator", d))

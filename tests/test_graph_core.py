@@ -1,5 +1,7 @@
 import io
+import multiprocessing
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgglearn import graph_core
 from rgglearn.graph_core import (
     Graph,
     GraphFunction,
@@ -324,3 +327,88 @@ def test_graph_rejects_overflowing_degree():
     upper = sparse.coo_matrix(([1e308, 1e308], ([0, 0], [1, 2])), shape=(3, 3))
     with pytest.raises(ValueError, match="non-finite degree"):
         Graph(pts, upper, np.ones(3), 1.0)
+
+
+def test_component_labels_returns_a_copy():
+    pts = np.arange(4.0)[:, None]
+    g = Graph(pts, sparse.coo_matrix(([1.0, 1.0], ([0, 2], [1, 3])), shape=(4, 4)),
+              np.zeros(4), 1.0)
+    labels = g.component_labels()
+    assert not g.connected
+    assert labels[0] == labels[1] != labels[2] == labels[3]
+    labels[:] = 7
+    assert g.component_labels()[0] != g.component_labels()[2]
+
+
+def test_run_pair_path_selection(monkeypatch):
+    here = threading.get_ident
+    cutoff = graph_core._SPLIT_MIN_NNZ
+    monkeypatch.setattr(graph_core, "_usable_cpus", lambda: 2)
+    first, second = graph_core._run_pair(here, here, cutoff)
+    assert first == here() != second
+    assert graph_core._run_pair(here, here, cutoff - 1) == (here(), here())
+    monkeypatch.setattr(graph_core, "_usable_cpus", lambda: 1)
+    assert graph_core._run_pair(here, here, 10 * cutoff) == (here(), here())
+
+
+def test_run_pair_reraises_worker_error(monkeypatch):
+    monkeypatch.setattr(graph_core, "_usable_cpus", lambda: 2)
+
+    def fail():
+        raise KeyError("worker")
+
+    with pytest.raises(KeyError, match="worker"):
+        graph_core._run_pair(lambda: 1, fail, graph_core._SPLIT_MIN_NNZ)
+
+
+def test_usable_cpus_follows_affinity(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert graph_core._usable_cpus() == 1
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 60), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.05, 0.9),
+       kind=st.sampled_from(["built", "reweighted", "from_weights"]))
+def test_threaded_wmul_is_bit_identical(n, seed, eps, kind):
+    from rgglearn.geometry import build_graph, make_kernel
+
+    rng = np.random.default_rng(seed)
+    if kind == "from_weights":
+        g, _ = random_graph(n, seed)
+    else:
+        g = build_graph(rng.random((n, 2)), max(eps, n ** -0.5), make_kernel("cone", 2))
+        if kind == "reweighted":
+            g = g.reweighted(1.0 + rng.random(n))
+    u = rng.standard_normal(n)
+    upper = g._upper
+    want = upper @ u + upper.T @ u + g.self_weights * u
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_core, "_SPLIT_MIN_NNZ", 0)
+        mp.setattr(graph_core, "_usable_cpus", lambda: 2)
+        assert np.array_equal(g.wmul(u), want)
+    assert np.array_equal(g.wmul(u), want)
+
+
+@pytest.mark.filterwarnings("ignore::DeprecationWarning")  # fork of a threaded process
+def test_wmul_in_forked_child(monkeypatch):
+    from rgglearn.geometry import build_graph, make_kernel
+
+    rng = np.random.default_rng(5)
+    g = build_graph(rng.random((2000, 2)), 0.2, make_kernel("indicator", 2))
+    assert g._upper.nnz >= graph_core._SPLIT_MIN_NNZ
+    monkeypatch.setattr(graph_core, "_usable_cpus", lambda: 2)
+    u = rng.standard_normal(g.n)
+    want = g.wmul(u)  # the parent's worker thread now exists
+    assert graph_core._worker[0] == os.getpid()
+
+    def child():
+        raise SystemExit(0 if np.array_equal(g.wmul(u), want) else 1)
+
+    proc = multiprocessing.get_context("fork").Process(target=child)
+    proc.start()
+    proc.join(timeout=60)
+    if proc.is_alive():
+        proc.kill()
+        proc.join()
+        pytest.fail("wmul hung in a forked child")
+    assert proc.exitcode == 0

@@ -4,10 +4,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 from rgglearn.geometry import Box, Disk, make_kernel, make_density, sample_points, build_graph
-from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta,
+from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, weighted_mean)
 from rgglearn.heat_kernel import (GridField, heat_column, heat_convolve,
                                   psi_table, repeated_average, rho_hat,
@@ -484,3 +486,30 @@ def test_import_defers_scipy_signal():
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rgglearn.__file__))
     code = "import sys, rgglearn; assert 'scipy.signal' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def random_connected_graph(n, seed, eps):
+    rng = np.random.default_rng(seed)
+    g = build_graph(rng.random((n, 2)), max(eps, n ** -0.5), make_kernel("cone", 2))
+    assume(g.connected)
+    return g
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.3, 1.0),
+       x=st.integers(0, 10**6), k=st.integers(0, 40))
+def test_property_heat_mass_preserved(n, seed, eps, x, k):
+    g = random_connected_graph(n, seed, eps)
+    col = heat_column(g, x % n, k).values
+    assert abs(inner(col, GraphFunction(g, np.ones(n))) - 1.0) < 1e-12
+
+
+@settings(max_examples=30)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.3, 1.0),
+       k=st.integers(0, 20), l=st.integers(0, 20))
+def test_property_heat_semigroup(n, seed, eps, k, l):
+    g = random_connected_graph(n, seed, eps)
+    u = GraphFunction(g, np.random.default_rng(seed + 1).standard_normal(n))
+    a = heat_convolve(g, k, heat_convolve(g, l, u)).values
+    b = heat_convolve(g, k + l, u).values
+    assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(u.values)))

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rgglearn.geometry import Box, build_graph, make_density, make_kernel, sample_points
+from rgglearn import graph_core
 from rgglearn.graph_core import (
     Graph,
     GraphFunction,
@@ -235,3 +238,50 @@ def test_pcg_restarts_count_toward_maxiter():
 
     with pytest.raises(RuntimeError, match="within 5 iterations"):
         _pcg(zero, np.ones(4), lambda r: False, maxiter=5)
+
+
+def test_pcg_unreachable_tolerance_fails_fast():
+    # at tol=1e-16 the fresh residual stalls near 1e-12: CG must stop after a
+    # restart that fails to halve it, not after 10 n = 20000 matvecs
+    g = small_geometric_graph(n=2000, eps=0.1, seed=6)
+    wmul = g.wmul
+    calls = []
+
+    def counting_wmul(u):
+        calls.append(1)
+        return wmul(u)
+
+    g.wmul = counting_wmul
+    s = SourceSpec([g.points[10], g.points[1000]], [1.0, -1.0])
+    with pytest.raises(RuntimeError, match=r"stagnated at residual \d"):
+        solve_graph_poisson(g, s, tol=1e-16)
+    assert len(calls) < 1000
+
+
+def test_laplace_learning_threaded_matches_serial(monkeypatch):
+    g = small_geometric_graph(n=300, eps=0.25, seed=8)
+    labels = [(0, 1.0), (150, -1.0), (299, 0.5)]
+    monkeypatch.setattr(graph_core, "_SPLIT_MIN_NNZ", 10**12)
+    serial = solve_laplace_learning(g, labels, tol=1e-10).values
+    monkeypatch.setattr(graph_core, "_SPLIT_MIN_NNZ", 0)
+    monkeypatch.setattr(graph_core, "_usable_cpus", lambda: 2)
+    threaded = solve_laplace_learning(g, labels, tol=1e-10).values
+    assert np.array_equal(threaded, serial)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(3, 40), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.3, 1.0),
+       pair=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)))
+def test_property_pcg_matches_pseudoinverse(n, seed, eps, pair):
+    rng = np.random.default_rng(seed)
+    g = build_graph(rng.random((n, 2)), max(eps, n ** -0.5), make_kernel("cone", 2))
+    assume(g.connected)
+    a, b = pair[0] % n, pair[1] % n
+    assume(a != b and not np.array_equal(g.points[a], g.points[b]))
+    s = SourceSpec([g.points[a], g.points[b]], [1.0, -1.0])
+    u, _ = solve_graph_poisson(g, s, tol=1e-11)
+    f = assemble_source(g, s).values
+    uo = np.linalg.pinv(dense_scaled_laplacian(g)) @ f
+    uo -= g.degrees @ uo / g.degrees.sum()  # degree-weighted gauge
+    assert np.max(np.abs(u.values - uo)) <= 1e-6 * np.max(np.abs(uo))
+    assert abs(weighted_mean(u)) <= 1e-12 * np.max(np.abs(uo))
