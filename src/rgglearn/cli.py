@@ -15,7 +15,7 @@ from .geometry import (
     sample_points,
     save_points,
 )
-from .graph_core import load_graph, save_graph
+from .graph_core import _write_columns, load_graph, save_graph
 from .poisson_solver import SourceSpec, solve_graph_poisson
 from .heat_kernel import heat_column, psi_table
 from .continuum_ref import build_grid, save_grid_solution, solve_weighted_poisson
@@ -43,10 +43,7 @@ def _load_sources(path, domain=None):
 
 
 def _write_nodes(path, values):
-    with open(path, "w") as fh:
-        fh.write("node,value\n")
-        for i, v in enumerate(values):
-            fh.write("%d,%.17g\n" % (i, v))
+    _write_columns(path, "node,value", (np.arange(len(values)), values), ("%d", "%.17g"))
 
 
 def _cmd_sample(args):
@@ -94,10 +91,7 @@ def _cmd_heat(args):
 def _cmd_psi(args):
     kernel = make_kernel(args.kernel, args.d)
     table = psi_table(kernel, args.d, args.k, args.eps)
-    with open(args.out, "w") as fh:
-        fh.write("r,psi\n")
-        for r, v in zip(table.r, table.values):
-            fh.write("%.17g,%.17g\n" % (r, v))
+    _write_columns(args.out, "r,psi", (table.r, table.values), ("%.17g", "%.17g"))
     print("wrote %s (%d radii, method=%s, mass=%.12g)"
           % (args.out, table.r.size, table.method, table.mass()))
     return 0
@@ -137,6 +131,10 @@ def _cmd_experiment(name, args, extras):
         print("median at %.6g: %.6g" % (key, med))
     if np.isfinite(result.slope):
         print("slope %.6g (half band %.3g)" % (result.slope, result.slope_band))
+    if result.failures:
+        print("%d of %d jobs failed (see meta.txt)"
+              % (len(result.failures), result.jobs))
+        return 1
     return 0
 
 

@@ -14,6 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .geometry import Box
+from .graph_core import _write_columns
 from .heat_kernel import GridField
 from .poisson_solver import SourceSpec, _pcg
 
@@ -236,8 +237,4 @@ def save_grid_solution(path, u):
     cols.append(u.values.ravel())
     header = ",".join(["i%d" % i for i in range(d)]
                       + ["x%d" % i for i in range(d)] + ["u"])
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in zip(*cols):
-            parts = ["%d" % v for v in row[:d]] + ["%.17g" % v for v in row[d:]]
-            fh.write(",".join(parts) + "\n")
+    _write_columns(path, header, cols, ["%d"] * d + ["%.17g"] * (d + 1))

@@ -18,7 +18,7 @@ from .geometry import (
     make_kernel,
     sample_points,
 )
-from .graph_core import pnorm, weighted_mean
+from .graph_core import _write_columns, pnorm, weighted_mean
 from .poisson_solver import (
     SourceSpec,
     solve_graph_poisson,
@@ -265,6 +265,8 @@ class RunResult:
     slope_band: float = math.nan
     medians: dict = field(default_factory=dict)
     csv_path: str = ""
+    jobs: int = 0
+    failures: list = field(default_factory=list)
 
 
 def _fmt(value):
@@ -472,7 +474,8 @@ def run_mollification_rate(config):
             records.append(rec)
 
     return _summarize(cfg, records, meta, failures,
-                      ladder_key=lambda r: r.eps * math.sqrt(r.k), stat="moll")
+                      ladder_key=lambda r: r.eps * math.sqrt(r.k), stat="moll",
+                      jobs=cfg.seeds)
 
 
 def run_heat_asymptotics(config):
@@ -586,10 +589,9 @@ def demo_two_point(config):
     iqr = float(q3 - q1)
 
     for name, f in (("laplace", lap), ("poisson", poi), ("pwll", pw)):
-        with open(os.path.join(cfg.outdir, name + ".csv"), "w") as fh:
-            fh.write("node,value\n")
-            for i, val in enumerate(f.values):
-                fh.write("%d,%s\n" % (i, _fmt(val)))
+        # a NaN value is an empty field, as in results.csv (_fmt)
+        _write_columns(os.path.join(cfg.outdir, name + ".csv"), "node,value",
+                       (np.arange(g.n), f.values), ("%d", "%.17g"), nan="")
 
     checks = cfg.checks(n, eps, max(cfg.k, 1))
     rec = RateRecord(cfg.experiment, cfg.d, n, eps, cfg.k, 0,
@@ -605,10 +607,16 @@ def demo_two_point(config):
     return _summarize(cfg, [rec], meta, [], ladder_key=None, fit=False)
 
 
-def _summarize(cfg, records, meta, failures, ladder_key, stat="l1", fit=True):
-    """Write results.csv (data rows plus an optional slope row) and meta.txt."""
+def _summarize(cfg, records, meta, failures, ladder_key, stat="l1", fit=True,
+               jobs=None):
+    """Write results.csv (data rows plus an optional slope row) and meta.txt.
+
+    `jobs` is the number of jobs the failure messages are counted against
+    (default: one per record).
+    """
     rows = [r.csv_row() for r in records]
-    result = RunResult(records)
+    result = RunResult(records, jobs=len(records) if jobs is None else jobs,
+                       failures=failures)
 
     if ladder_key is not None:
         med = _median_rows([r for r in records if not math.isnan(

@@ -17,7 +17,7 @@ import scipy.sparse as sparse
 from scipy.integrate import simpson
 from scipy.spatial import cKDTree
 
-from .graph_core import Graph
+from .graph_core import Graph, _write_columns
 
 # unit-ball volumes omega_d for d = 1, 2, 3
 BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
@@ -441,11 +441,8 @@ def closest_point(x, g):
 def save_points(points, path):
     """Write points as CSV with header x0,...,x{d-1}."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    header = ",".join("x%d" % i for i in range(points.shape[1]))
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for row in points:
-            fh.write(",".join("%.17g" % c for c in row) + "\n")
+    d = points.shape[1]
+    _write_columns(path, ",".join("x%d" % i for i in range(d)), points.T, ["%.17g"] * d)
 
 
 def load_points(path):

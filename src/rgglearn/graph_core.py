@@ -376,6 +376,30 @@ def energy_discrete(u, f):
     return 0.5 * dirichlet_energy(u) - inner(u, f)
 
 
+_CSV_ROWS_PER_BLOCK = 4096
+
+
+def _write_columns(path, header, columns, fmt, nan="nan"):
+    """Write equal-length numeric arrays as CSV columns under a one-line header.
+
+    The one table writer behind the points, graph, node-value, psi and grid
+    files.  Row i is ``",".join(fmt) % (columns[0][i], columns[1][i], ...)``:
+    one printf format per column, as for ``np.savetxt``, so ``"%.17g"``
+    round-trips every float64.  printf writes a NaN as ``nan``; the text
+    `nan` replaces it (``""`` leaves the field empty).  Columns are
+    formatted as Python scalars (``tolist()``) in blocks of rows, which is
+    about twice as fast as ``np.savetxt``'s NumPy scalars and keeps the
+    transient memory small for any row count.
+    """
+    line = ",".join(fmt) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(columns[0]), _CSV_ROWS_PER_BLOCK):
+            block = [c[lo:lo + _CSV_ROWS_PER_BLOCK].tolist() for c in columns]
+            text = "".join(line % row for row in zip(*block))
+            fh.write(text if nan == "nan" else text.replace("nan", nan))
+
+
 def save_graph(g, path):
     """Serialize a graph
     ======
@@ -387,17 +411,10 @@ def save_graph(g, path):
     the three files load from any working directory and can be moved
     together.
     """
-    i, j, w = g.edge_arrays()
-    with open(path, "w") as fh:
-        fh.write("i,j,w\n")
-        for a, b, c in zip(i, j, w):
-            fh.write("%d,%d,%.17g\n" % (a, b, c))
+    _write_columns(path, "i,j,w", g.edge_arrays(), ("%d", "%d", "%.17g"))
     pts_path = path + ".points"
-    header = ",".join("x%d" % a for a in range(g.d))
-    with open(pts_path, "w") as fh:
-        fh.write(header + "\n")
-        for row in g.points:
-            fh.write(",".join("%.17g" % c for c in row) + "\n")
+    _write_columns(pts_path, ",".join("x%d" % a for a in range(g.d)), g.points.T,
+                   ["%.17g"] * g.d)
     kname = getattr(g.kernel, "name", "") if g.kernel is not None else ""
     with open(path + ".meta", "w") as fh:
         fh.write("n=%d\n" % g.n)

@@ -6,7 +6,15 @@ x under the adjoint random-walk diffusion; columns propagate by
     H_{k+1} = H_k - L_rw^T H_k = W (H_k / deg),
 
 which preserves mass <H_k, 1> = 1 exactly.  Convolution with a graph
-function uses the dual form (I - L_rw)^k.  The continuum side provides
+function uses the dual form (I - L_rw)^k.
+
+Both powers are step^k v for a random-walk step (W D^{-1} on columns,
+D^{-1} W on functions).  For large k they are evaluated from the
+Chebyshev expansion x^k = sum_j c_j T_j(x), truncated where its tail
+bounds the max-norm error below unit roundoff; this takes about
+sqrt(2 k log(2/delta)) matvecs instead of k (see `_walk_power`).  When
+the truncation degree is not below k (every k <= 53, since c_k = 2^(1-k))
+the k steps are applied one by one.  The continuum side provides
 the smoothed density rho_hat, the nonlocal averaging operator M_eps on a
 grid, the repeated self-convolutions psi_k of the kernel profile, and the
 scale constants (eps_k, R_k, Theta_dk, phi) controlling their effective
@@ -15,7 +23,7 @@ support.
 
 import numpy as np
 from scipy.integrate import simpson
-from scipy.special import j0
+from scipy.special import gammaln, j0
 
 from .geometry import BALL_VOLUME, Box
 from .graph_core import GraphFunction
@@ -36,10 +44,60 @@ class HeatColumn:
         self.values = values
 
 
+def _chebyshev_coefficients(k):
+    """Coefficients c_0..c_k of x^k = sum_j c_j T_j(x), normalized to sum to 1.
+
+    c_j = 2 P(Bin(k, 1/2) = (k - j)/2) for j > 0 of the parity of k, and
+    c_0 = P(Bin(k, 1/2) = k/2); computed in log space, so k up to
+    MAX_HEAT_STEPS neither overflows nor underflows to a zero sum.
+    """
+    i = np.arange(k // 2 + 1)
+    logp = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1) - k * np.log(2.0)
+    c = np.zeros(k + 1)
+    c[k - 2 * i] = 2.0 * np.exp(logp)
+    if k % 2 == 0:
+        c[0] /= 2.0
+    return c / c.sum()
+
+
+def _walk_power(g, step, v, k):
+    """step^k v for a random-walk step of the graph g.
+
+    `step` is x -> W x / deg or x -> W (x / deg).  Either is self-adjoint in
+    the deg- (resp. 1/deg-) weighted inner product with spectrum in
+    [-1, 1], so truncating x^k = sum_j c_j T_j(x) after degree m leaves a
+    max-norm error of at most
+
+        tail_m * sqrt(n * max deg / min deg) * ||v||_inf,
+        tail_m = sum_{j > m} c_j.
+
+    m is the smallest degree with tail_m <= 2^-53 / sqrt(n max deg / min
+    deg), so the error is below unit roundoff times ||v||_inf, and the
+    truncated sum is evaluated by T_{j+1} = 2 step(T_j) - T_{j-1} in m
+    matvecs.  When m >= k (always for k <= 53, as c_k = 2^(1-k) > 2^-53)
+    the k steps are applied one by one instead.
+    """
+    deg = g.degrees
+    c = _chebyshev_coefficients(k)
+    tail = np.cumsum(c[::-1])[::-1]  # tail[j] = sum_{i >= j} c_i
+    delta = 2.0**-53 / np.sqrt(g.n * deg.max() / deg.min())
+    m = int(np.count_nonzero(tail > delta)) - 1
+    if m >= k:
+        for _ in range(k):
+            v = step(v)
+        return v
+    prev, cur = v, step(v)
+    out = c[0] * prev + c[1] * cur
+    for j in range(2, m + 1):
+        prev, cur = cur, 2.0 * step(cur) - prev
+        if c[j]:
+            out += c[j] * cur
+    return out
+
+
 def _propagate(g, v, steps):
     deg = g.degrees
-    for _ in range(steps):
-        v = g.wmul(v / deg)
+    v = _walk_power(g, lambda x: g.wmul(x / deg), v, int(steps))
     if not np.all(np.isfinite(v)):
         raise RuntimeError("heat propagation produced non-finite values")
     return v
@@ -52,6 +110,12 @@ def heat_column(g, x, k):
     Computes H_k^x = (I - L_rw^T)^k delta_x for a node center, or starts
     from the one-step kernel H_1^x(x_i) = n eta_eps(|x_i - x|) / deg(x)
     for an off-graph point center (deg(x) summed over all nodes).
+
+    The power is applied step by step when the Chebyshev truncation degree
+    m (see `_walk_power`) is not below the step count, and otherwise as the
+    truncated Chebyshev sum in m matvecs, whose max-norm error is below
+    2^-53 ||start||_inf; entries of the true kernel smaller than that may
+    then come out as rounding-level negatives.
 
     Parameters
     ----------
@@ -99,7 +163,12 @@ def heat_convolve(g, k, u):
     ======
 
     Satisfies the semigroup identity H_k*(H_l*u) = H_{k+l}*u and commutes
-    with L_rw.
+    with L_rw.  (I - L_rw)^k = (D^{-1} W)^k is applied as k steps when the
+    Chebyshev truncation degree m of `_walk_power` is at least k (every
+    k <= 53; bit-identical to plain powering), and otherwise as the
+    truncated Chebyshev sum in m ~ sqrt(2 k log(2/delta)) matvecs, delta =
+    2^-53 / sqrt(n max deg / min deg), with max-norm error at most
+    2^-53 ||u||_inf.
     """
     if k < 0 or k > MAX_HEAT_STEPS:
         raise ValueError("step count k out of range")
@@ -107,8 +176,7 @@ def heat_convolve(g, k, u):
     if np.any(deg == 0):
         raise ValueError("zero-degree node; random-walk propagation undefined")
     v = np.array(u.values if isinstance(u, GraphFunction) else u, dtype=float)
-    for _ in range(int(k)):
-        v = g.wmul(v) / deg
+    v = _walk_power(g, lambda x: g.wmul(x) / deg, v, int(k))
     if not np.all(np.isfinite(v)):
         raise RuntimeError("heat convolution produced non-finite values")
     return GraphFunction(g, v)

@@ -103,6 +103,16 @@ def test_experiment_subcommand(tmp_path):
     assert (out / "meta.txt").exists()
 
 
+def test_experiment_failures_exit_nonzero(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["converge", "--run.outdir", str(out), "--run.seeds", "1",
+               "--ladder.eps", "0.3 0.24", "--ladder.n_const", "2",
+               "--ladder.n_power", "1"])
+    assert rc == 1
+    assert "2 of 2 jobs failed (see meta.txt)" in capsys.readouterr().out
+    assert "graph too sparse" in (out / "meta.txt").read_text()
+
+
 def test_experiment_config_file(tmp_path):
     ini = tmp_path / "sweep.ini"
     ini.write_text("[run]\nseeds = 1\noutdir = %s\n"

@@ -242,6 +242,17 @@ def test_mollify_k_list_validation(tmp_path):
         run_mollification_rate(mollify_config(tmp_path, ks="4 16 64"))  # eps_k > 1
 
 
+def test_mollify_failures_counted_per_seed(tmp_path):
+    # n eps^d < 1 fails each seed's graph; records stay one per (k, seed)
+    cfg = make_config(tmp_path, **{"run.experiment": "mollify", "run.seeds": "2",
+                                   "ladder.eps": "0.3", "ladder.n_const": "2",
+                                   "ladder.n_power": "0", "ladder.k_list": "0 2 4"})
+    res = run_mollification_rate(cfg)
+    assert (res.jobs, len(res.records)) == (2, 6)
+    assert len(res.failures) == 2
+    assert all("graph too sparse" in f for f in res.failures)
+
+
 def heat_config(tmp_path, box="0 0 14 14", center="7 7", n_list="1500 2500"):
     return make_config(tmp_path, **{"run.experiment": "heat-asymptotics",
                                     "run.seeds": "2",

@@ -11,9 +11,10 @@ from scipy.integrate import simpson
 from rgglearn.geometry import Box, Disk, make_kernel, make_density, sample_points, build_graph
 from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, weighted_mean)
-from rgglearn.heat_kernel import (GridField, heat_column, heat_convolve,
-                                  psi_table, repeated_average, rho_hat,
-                                  scale_constants, smooth_poisson)
+from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _chebyshev_coefficients,
+                                  heat_column, heat_convolve, psi_table,
+                                  repeated_average, rho_hat, scale_constants,
+                                  smooth_poisson)
 from rgglearn.poisson_solver import SourceSpec, assemble_source, solve_graph_poisson
 
 
@@ -513,3 +514,88 @@ def test_property_heat_semigroup(n, seed, eps, k, l):
     a = heat_convolve(g, k, heat_convolve(g, l, u)).values
     b = heat_convolve(g, k + l, u).values
     assert np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(u.values)))
+
+
+def plain_power(step, v, k):
+    for _ in range(k):
+        v = step(v)
+    return v
+
+
+def counting_wmul(g, monkeypatch):
+    calls = []
+    wmul = g.wmul
+    monkeypatch.setattr(g, "wmul", lambda x: calls.append(1) or wmul(x))
+    return calls
+
+
+@settings(max_examples=25)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.3, 1.0),
+       x=st.integers(0, 10**6), k=st.integers(100, 400))
+def test_property_chebyshev_power_matches_plain_loop(n, seed, eps, x, k):
+    g = random_connected_graph(n, seed, eps)
+    deg = g.degrees
+    u = np.random.default_rng(seed + 2).standard_normal(n)
+    want = plain_power(lambda v: g.wmul(v) / deg, u, k)
+    got = heat_convolve(g, k, u).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(u))
+    delta = graph_delta(x % n, g).values
+    want = plain_power(lambda v: g.wmul(v / deg), delta, k)
+    got = heat_column(g, x % n, k).values.values
+    assert np.max(np.abs(got - want)) <= 1e-12 * n
+
+
+@settings(max_examples=25)
+@given(n=st.integers(2, 40), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.3, 1.0),
+       x=st.integers(0, 10**6), k=st.integers(0, 53))
+def test_property_short_powers_are_the_plain_loop(n, seed, eps, x, k):
+    # the top coefficient 2^(1-k) exceeds the tail bound, so the k steps run as before
+    g = random_connected_graph(n, seed, eps)
+    deg = g.degrees
+    u = np.random.default_rng(seed + 3).standard_normal(n)
+    assert np.array_equal(heat_convolve(g, k, u).values,
+                          plain_power(lambda v: g.wmul(v) / deg, u, k))
+    delta = graph_delta(x % n, g).values
+    assert np.array_equal(heat_column(g, x % n, k).values.values,
+                          plain_power(lambda v: g.wmul(v / deg), delta, k))
+
+
+def test_chebyshev_power_uses_fewer_matvecs(monkeypatch):
+    g = small_graph()
+    u = np.random.default_rng(4).standard_normal(g.n)
+    calls = counting_wmul(g, monkeypatch)
+    heat_convolve(g, 620, u)
+    assert 0 < len(calls) < 620 / 2
+    calls.clear()
+    heat_column(g, 5, 620)
+    assert 0 < len(calls) < 620 / 2
+    calls.clear()
+    heat_convolve(g, 53, u)
+    assert len(calls) == 53
+
+
+def test_chebyshev_power_mass_and_commutation(monkeypatch):
+    g = small_graph(n=150, eps=0.3)
+    k = 300
+    calls = counting_wmul(g, monkeypatch)
+    col = heat_column(g, 3, k).values
+    assert len(calls) < k
+    assert abs(inner(col, GraphFunction(g, np.ones(g.n))) - 1.0) < 1e-12
+    u = GraphFunction(g, np.random.default_rng(5).normal(size=g.n))
+    a = heat_convolve(g, k, laplacian_apply(u, LaplacianKind.RandomWalk))
+    b = laplacian_apply(heat_convolve(g, k, u), LaplacianKind.RandomWalk)
+    assert np.max(np.abs(a.values - b.values)) < 1e-10
+
+
+def test_chebyshev_coefficients():
+    for k in (0, 1, 2, 7, 10, 31):
+        monomial = np.zeros(k + 1)
+        monomial[k] = 1.0
+        want = np.polynomial.chebyshev.poly2cheb(monomial)
+        assert np.allclose(_chebyshev_coefficients(k), want, rtol=0, atol=1e-13)
+    # 2^-k C(k, i) overflows and underflows in floating point at this k
+    c = _chebyshev_coefficients(MAX_HEAT_STEPS)
+    assert c.shape == (MAX_HEAT_STEPS + 1,)
+    assert np.all(np.isfinite(c)) and c.min() >= 0.0
+    assert abs(c.sum() - 1.0) < 1e-12
+    assert c[0] > 0.0 and c[1] == 0.0  # x^k is even for even k
