@@ -1,5 +1,9 @@
 """Experiment orchestration: parameter sweeps, graph-vs-continuum errors,
-rate fits, and CSV artifacts."""
+rate fits, and CSV artifacts.
+
+The four runners share one job pipeline, `_run_jobs`: each does its own
+set-up and passes a `measure` closure that fills the records of one job.
+"""
 
 import configparser
 import io
@@ -288,15 +292,13 @@ def _write_csv(path, rows):
             fh.write(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS) + "\n")
 
 
-def _write_meta(cfg, lines, name="meta.txt"):
-    path = os.path.join(cfg.outdir, name)
-    with open(path, "w") as fh:
+def _write_meta(cfg, lines):
+    with open(os.path.join(cfg.outdir, "meta.txt"), "w") as fh:
         fh.write("resolved config\n---------------\n")
         fh.write(cfg.describe())
         fh.write("\n")
         for line in lines:
             fh.write(line + "\n")
-    return path
 
 
 def _aligned(g, values):
@@ -336,12 +338,53 @@ def _median_rows(records, key):
                       float(np.median([r.moll_error for r in rs])))
     return out
 
-def _check_lines(tag, checks):
-    return "%s: %s" % (tag, " ".join("%s=%s" % (k, v) for k, v in checks.items()))
 
+def _run_jobs(cfg, rungs, measure, meta, seeds=None, points=None):
+    """Run every job of a sweep through one sample -> build -> measure loop.
 
-def _job_rng_seed(cfg, job):
-    return [cfg.master_seed, job]
+    A rung is (eps, n, ks).  Job j, counted over the rungs and then the
+    seeds, samples n points with seed [master_seed, j], builds the
+    eps-graph g and calls measure(records, pts, g), which fills one
+    RateRecord per k of the rung (in ks order).  An exception fails only
+    that job: its records keep NaN errors, its message is kept in
+    `failures`, and the sweep goes on.  Records come out rung by rung and
+    k-major within a rung.  meta gets the scaling checks of each (rung, k),
+    with `points` passed to cfg.checks, and one line per job.  `seeds`
+    (default cfg.seeds) is the number of jobs per rung.
+
+    Returns a RunResult holding the records, the job count and the
+    failure messages.
+    """
+    seeds = cfg.seeds if seeds is None else seeds
+    result = RunResult([])
+    for eps, n, ks in rungs:
+        checks = [cfg.checks(n, eps, k, points=points) for k in ks]
+        for k, c in zip(ks, checks):
+            meta.append("point eps=%.17g n=%d k=%d: %s" % (
+                eps, n, k, " ".join("%s=%s" % item for item in c.items())))
+        per_seed = []
+        for seed in range(seeds):
+            blank = lambda: [RateRecord(cfg.experiment, cfg.d, n, eps, k, seed,  # noqa: E731
+                                        checks=c) for k, c in zip(ks, checks)]
+            tag = "job %d (eps=%.17g n=%d seed=%d)" % (result.jobs, eps, n, seed)
+            recs = blank()
+            t0 = time.perf_counter()
+            try:
+                pts = sample_points(cfg.domain, cfg.density, n, [cfg.master_seed, result.jobs])
+                g = build_graph(pts, eps, cfg.kernel)
+                measure(recs, pts, g)
+                status = "iters=%d resid=%.3g" % (recs[0].iterations, recs[0].residual)
+            except Exception as exc:  # noqa: BLE001 - recorded per job
+                result.failures.append("%s: %s" % (tag, exc))
+                recs, status = blank(), "failed"
+            wall = time.perf_counter() - t0
+            meta.append("%s: %s wall=%.2fs" % (tag, status, wall))
+            for rec in recs:
+                rec.runtime_s = wall
+            per_seed.append(recs)
+            result.jobs += 1
+        result.records.extend(rec for row in zip(*per_seed) for rec in row)  # k-major
+    return result
 
 
 def run_convergence(config):
@@ -379,43 +422,26 @@ def run_convergence(config):
     u_ref = solve_weighted_poisson(grid, spec, tol=cfg.ref_tol)
     t_ref = time.perf_counter() - t0
 
-    records, meta, failures = [], [], []
-    meta.append("columns: l1_error = (1/n) sum |u_graph/2 - u_ref| (gauge aligned); "
-                "moll_error = (1/n) sum |u_graph - H_k u_graph|")
-    meta.append("reference grid: h = %.17g, cells = %s, solve time %.2fs"
-                % (h, "x".join(str(s) for s in grid.shape), t_ref))
-    job = 0
-    for eps, n in pairs:
-        k = cfg.k_for(eps)
-        checks = cfg.checks(n, eps, k)
-        meta.append(_check_lines("point eps=%.17g n=%d k=%d" % (eps, n, k), checks))
-        for rep in range(cfg.seeds):
-            rec = RateRecord(cfg.experiment, cfg.d, n, eps, k, rep, checks=checks)
-            t1 = time.perf_counter()
-            try:
-                pts = sample_points(cfg.domain, cfg.density, n, _job_rng_seed(cfg, job))
-                g = build_graph(pts, eps, cfg.kernel)
-                if not g.connected:
-                    raise RuntimeError("sampled graph is disconnected")
-                u, report = solve_graph_poisson(g, spec, tol=cfg.tol)
-                ref_at = interpolate_at(u_ref, pts)
-                diff = _aligned(g, 0.5 * u.values) - _aligned(g, ref_at)
-                rec.l1_error = pnorm(g.func(diff), 1)
-                if k >= 1:
-                    uk = heat_convolve(g, k, u)
-                    rec.moll_error = pnorm(g.func(u.values - uk.values), 1)
-                rec.iterations = report.iterations
-                rec.residual = report.residual
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                failures.append("job %d (eps=%.17g n=%d seed=%d): %s"
-                                % (job, eps, n, rep, exc))
-            rec.runtime_s = time.perf_counter() - t1
-            records.append(rec)
-            job += 1
+    meta = ["columns: l1_error = (1/n) sum |u_graph/2 - u_ref| (gauge aligned); "
+            "moll_error = (1/n) sum |u_graph - H_k u_graph|",
+            "reference grid: h = %.17g, cells = %s, solve time %.2fs"
+            % (h, "x".join(str(s) for s in grid.shape), t_ref)]
 
-    result = _summarize(cfg, records, meta, failures,
-                        ladder_key=ladder_key, stat="l1")
-    return result
+    def measure(recs, pts, g):
+        (rec,) = recs
+        u, report = solve_graph_poisson(g, spec, tol=cfg.tol)
+        ref_at = interpolate_at(u_ref, pts)
+        diff = _aligned(g, 0.5 * u.values) - _aligned(g, ref_at)
+        rec.l1_error = pnorm(g.func(diff), 1)
+        if rec.k >= 1:
+            uk = heat_convolve(g, rec.k, u)
+            rec.moll_error = pnorm(g.func(u.values - uk.values), 1)
+        rec.iterations = report.iterations
+        rec.residual = report.residual
+
+    rungs = [(eps, n, [cfg.k_for(eps)]) for eps, n in pairs]
+    result = _run_jobs(cfg, rungs, measure, meta)
+    return _summarize(cfg, result, meta, ladder_key=ladder_key, stat="l1")
 
 
 def run_mollification_rate(config):
@@ -427,8 +453,8 @@ def run_mollification_rate(config):
     cfg = config
     eps = cfg.eps_list[0]
     ks = sorted(cfg.k_list)
-    if any(b <= a for a, b in zip(ks, ks[1:])):
-        raise ValueError("k_list must be strictly increasing")
+    if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError("k_list must be non-empty and strictly increasing")
     for k in ks:
         if k < 0:
             raise ValueError("k must be >= 0")
@@ -438,44 +464,22 @@ def run_mollification_rate(config):
     os.makedirs(cfg.outdir, exist_ok=True)
     spec = cfg.source_spec()
 
-    meta, failures = [], []
-    meta.append("columns: moll_error = (1/n) sum |u_graph - H_k u_graph|; "
-                "l1_error unused")
-    per_seed = {}
-    for rep in range(cfg.seeds):
-        t1 = time.perf_counter()
-        try:
-            pts = sample_points(cfg.domain, cfg.density, n, _job_rng_seed(cfg, rep))
-            g = build_graph(pts, eps, cfg.kernel)
-            if not g.connected:
-                raise RuntimeError("sampled graph is disconnected")
-            u, report = solve_graph_poisson(g, spec, tol=cfg.tol)
-            rows = {}
-            v, done = u, 0
-            for k in ks:
-                v = heat_convolve(g, k - done, v)
-                done = k
-                rows[k] = (pnorm(g.func(u.values - v.values), 1),
-                           report.iterations, report.residual)
-            per_seed[rep] = rows
-        except Exception as exc:  # noqa: BLE001 - recorded per point
-            failures.append("seed %d: %s" % (rep, exc))
-            per_seed[rep] = None
-        meta.append("seed %d wall time %.2fs" % (rep, time.perf_counter() - t1))
+    meta = ["columns: moll_error = (1/n) sum |u_graph - H_k u_graph|; "
+            "l1_error unused"]
 
-    records = []
-    for k in ks:
-        checks = cfg.checks(n, eps, k)
-        meta.append(_check_lines("point eps=%.17g n=%d k=%d" % (eps, n, k), checks))
-        for rep in range(cfg.seeds):
-            rec = RateRecord(cfg.experiment, cfg.d, n, eps, k, rep, checks=checks)
-            if per_seed[rep] is not None:
-                rec.moll_error, rec.iterations, rec.residual = per_seed[rep][k]
-            records.append(rec)
+    def measure(recs, pts, g):
+        u, report = solve_graph_poisson(g, spec, tol=cfg.tol)
+        v, done = u, 0
+        for rec in recs:
+            v = heat_convolve(g, rec.k - done, v)
+            done = rec.k
+            rec.moll_error = pnorm(g.func(u.values - v.values), 1)
+            rec.iterations = report.iterations
+            rec.residual = report.residual
 
-    return _summarize(cfg, records, meta, failures,
-                      ladder_key=lambda r: r.eps * math.sqrt(r.k), stat="moll",
-                      jobs=cfg.seeds)
+    result = _run_jobs(cfg, [(eps, n, ks)], measure, meta)
+    return _summarize(cfg, result, meta,
+                      ladder_key=lambda r: r.eps * math.sqrt(r.k), stat="moll")
 
 
 def run_heat_asymptotics(config):
@@ -504,10 +508,9 @@ def run_heat_asymptotics(config):
                          "R_k = %.4g" % sc.R_k)
     os.makedirs(cfg.outdir, exist_ok=True)
 
-    meta, failures = [], []
-    meta.append("columns: l1_error = (1/n) sum |H_k - rho_hat^-1 M^(k-1) eta|; "
-                "moll_error = (1/n) sum |H_k - rho^-1 psi_k|; "
-                "residual = |mass - 1|")
+    meta = ["columns: l1_error = (1/n) sum |H_k - rho_hat^-1 M^(k-1) eta|; "
+            "moll_error = (1/n) sum |H_k - rho^-1 psi_k|; "
+            "residual = |mass - 1|"]
     t0 = time.perf_counter()
     h = cfg.heat_h if cfg.heat_h > 0 else eps / 8.0
     avg = repeated_average(cfg.density, cfg.domain, cfg.kernel, eps, x0, k - 1, h)
@@ -517,35 +520,22 @@ def run_heat_asymptotics(config):
     meta.append("surrogates: grid h = %.17g, rho_hat(x) = %.17g, rho(x) = %.17g, "
                 "setup %.2fs" % (h, rh, rho_x, time.perf_counter() - t0))
 
-    records, job = [], 0
-    for n in ns:
-        checks = cfg.checks(n, eps, k, points=[x0])
-        meta.append(_check_lines("point eps=%.17g n=%d k=%d" % (eps, n, k), checks))
-        for rep in range(cfg.seeds):
-            rec = RateRecord(cfg.experiment, cfg.d, n, eps, k, rep, checks=checks)
-            t1 = time.perf_counter()
-            try:
-                pts = sample_points(cfg.domain, cfg.density, n, _job_rng_seed(cfg, job))
-                g = build_graph(pts, eps, cfg.kernel)
-                xi = closest_point(x0, g)
-                meta.append("job %d: nearest node %d, center offset %.3g"
-                            % (job, xi, float(np.linalg.norm(pts[xi] - x0))))
-                col = heat_column(g, xi, k)
-                hvals = col.values.values
-                rec.residual = abs(np.mean(hvals) - 1.0)
-                sur_a = avg.sample(pts) / rh
-                r = np.linalg.norm(pts - x0[None, :], axis=1)
-                sur_b = psi.evaluate(r) / rho_x
-                rec.l1_error = float(np.mean(np.abs(hvals - sur_a)))
-                rec.moll_error = float(np.mean(np.abs(hvals - sur_b)))
-            except Exception as exc:  # noqa: BLE001 - recorded per point
-                failures.append("job %d (n=%d seed=%d): %s" % (job, n, rep, exc))
-            rec.runtime_s = time.perf_counter() - t1
-            records.append(rec)
-            job += 1
+    def measure(recs, pts, g):
+        (rec,) = recs
+        xi = closest_point(x0, g)
+        meta.append("n=%d seed=%d: nearest node %d, center offset %.3g"
+                    % (rec.n, rec.seed, xi, float(np.linalg.norm(pts[xi] - x0))))
+        col = heat_column(g, xi, k)
+        hvals = col.values.values
+        rec.residual = abs(np.mean(hvals) - 1.0)
+        sur_a = avg.sample(pts) / rh
+        r = np.linalg.norm(pts - x0[None, :], axis=1)
+        sur_b = psi.evaluate(r) / rho_x
+        rec.l1_error = float(np.mean(np.abs(hvals - sur_a)))
+        rec.moll_error = float(np.mean(np.abs(hvals - sur_b)))
 
-    return _summarize(cfg, records, meta, failures,
-                      ladder_key=lambda r: r.n, stat="l1", fit=False)
+    result = _run_jobs(cfg, [(eps, n, [k]) for n in ns], measure, meta, points=[x0])
+    return _summarize(cfg, result, meta, ladder_key=lambda r: r.n, stat="l1", fit=False)
 
 
 def demo_two_point(config):
@@ -555,7 +545,8 @@ def demo_two_point(config):
     sampled graph with labels +1/-1, plus results.csv where l1_error is
     the Laplace spike statistic (fraction of unlabeled values within
     0.05 * gap of their median) and moll_error is the interquartile range
-    of the Poisson field.
+    of the Poisson field.  The demo is one job (job 0) whatever run.seeds
+    says; a failure of that job is recorded like any runner's.
     """
     cfg = config
     if len(cfg.anchors) != 2:
@@ -566,60 +557,48 @@ def demo_two_point(config):
     eps = cfg.eps_list[0]
     n = cfg.n_list[0] if cfg.n_rule == "list" else cfg.n_for(eps)
     os.makedirs(cfg.outdir, exist_ok=True)
-
-    t0 = time.perf_counter()
-    pts = sample_points(cfg.domain, cfg.density, n, _job_rng_seed(cfg, 0))
-    g = build_graph(pts, eps, cfg.kernel)
-    if not g.connected:
-        raise RuntimeError("sampled graph is disconnected")
-    nodes = [closest_point(a, g) for a in cfg.anchors]
-    if nodes[0] == nodes[1]:
-        raise RuntimeError("both anchors map to one node")
-    labels = list(zip(nodes, values))
-
-    lap = solve_laplace_learning(g, labels, tol=cfg.tol)
-    poi, report = solve_graph_poisson(g, cfg.source_spec(), tol=cfg.tol)
-    pw = solve_pwll(g, labels, tol=cfg.tol)
-
     gap = abs(values[0] - values[1])
-    unlabeled = np.setdiff1d(np.arange(g.n), nodes)
-    v = lap.values[unlabeled]
-    spike = float(np.mean(np.abs(v - np.median(v)) <= 0.05 * gap))
-    q1, q3 = np.percentile(poi.values, [25.0, 75.0])
-    iqr = float(q3 - q1)
 
-    for name, f in (("laplace", lap), ("poisson", poi), ("pwll", pw)):
-        # a NaN value is an empty field, as in results.csv (_fmt)
-        _write_columns(os.path.join(cfg.outdir, name + ".csv"), "node,value",
-                       (np.arange(g.n), f.values), ("%d", "%.17g"), nan="")
-
-    checks = cfg.checks(n, eps, max(cfg.k, 1))
-    rec = RateRecord(cfg.experiment, cfg.d, n, eps, cfg.k, 0,
-                     l1_error=spike, moll_error=iqr,
-                     iterations=report.iterations, residual=report.residual,
-                     runtime_s=time.perf_counter() - t0, checks=checks)
     meta = ["columns: l1_error = Laplace spike fraction; moll_error = Poisson "
-            "interquartile range",
-            "label nodes: %d %d" % tuple(nodes),
-            "laplace band half-width = %.17g (0.05 * gap)" % (0.05 * gap),
-            _check_lines("point eps=%.17g n=%d" % (eps, n), checks),
-            "wall time %.2fs" % rec.runtime_s]
-    return _summarize(cfg, [rec], meta, [], ladder_key=None, fit=False)
+            "interquartile range"]
+
+    def measure(recs, pts, g):
+        (rec,) = recs
+        nodes = [closest_point(a, g) for a in cfg.anchors]
+        if nodes[0] == nodes[1]:
+            raise RuntimeError("both anchors map to one node")
+        labels = list(zip(nodes, values))
+        meta.append("label nodes: %d %d" % tuple(nodes))
+
+        lap = solve_laplace_learning(g, labels, tol=cfg.tol)
+        poi, report = solve_graph_poisson(g, cfg.source_spec(), tol=cfg.tol)
+        pw = solve_pwll(g, labels, tol=cfg.tol)
+
+        unlabeled = np.setdiff1d(np.arange(g.n), nodes)
+        v = lap.values[unlabeled]
+        rec.l1_error = float(np.mean(np.abs(v - np.median(v)) <= 0.05 * gap))
+        q1, q3 = np.percentile(poi.values, [25.0, 75.0])
+        rec.moll_error = float(q3 - q1)
+        rec.iterations = report.iterations
+        rec.residual = report.residual
+
+        for name, f in (("laplace", lap), ("poisson", poi), ("pwll", pw)):
+            # a NaN value is an empty field, as in results.csv (_fmt)
+            _write_columns(os.path.join(cfg.outdir, name + ".csv"), "node,value",
+                           (np.arange(g.n), f.values), ("%d", "%.17g"), nan="")
+        meta.append("laplace band half-width = %.17g (0.05 * gap)" % (0.05 * gap))
+
+    result = _run_jobs(cfg, [(eps, n, [cfg.k])], measure, meta, seeds=1)
+    return _summarize(cfg, result, meta, ladder_key=None, fit=False)
 
 
-def _summarize(cfg, records, meta, failures, ladder_key, stat="l1", fit=True,
-               jobs=None):
-    """Write results.csv (data rows plus an optional slope row) and meta.txt.
-
-    `jobs` is the number of jobs the failure messages are counted against
-    (default: one per record).
-    """
-    rows = [r.csv_row() for r in records]
-    result = RunResult(records, jobs=len(records) if jobs is None else jobs,
-                       failures=failures)
+def _summarize(cfg, result, meta, ladder_key, stat="l1", fit=True):
+    """Fill in the medians and slope of a run from _run_jobs, then write
+    results.csv (data rows plus an optional slope row) and meta.txt."""
+    rows = [r.csv_row() for r in result.records]
 
     if ladder_key is not None:
-        med = _median_rows([r for r in records if not math.isnan(
+        med = _median_rows([r for r in result.records if not math.isnan(
             r.l1_error if stat == "l1" else r.moll_error)], ladder_key)
         result.medians = {key: (m[0] if stat == "l1" else m[1])
                           for key, m in med.items()}
@@ -643,13 +622,9 @@ def _summarize(cfg, records, meta, failures, ladder_key, stat="l1", fit=True,
                 meta.append("slope skipped: only %d ladder points after "
                             "dropping %d" % (len(kept), drop))
 
-    for r in records:
-        meta.append("job eps=%.17g n=%d k=%d seed=%d: iters=%d resid=%.3g "
-                    "wall=%.2fs" % (r.eps, r.n, r.k, r.seed, r.iterations,
-                                    r.residual, r.runtime_s))
-    if failures:
+    if result.failures:
         meta.append("failures:")
-        meta.extend("  " + f for f in failures)
+        meta.extend("  " + f for f in result.failures)
 
     result.csv_path = os.path.join(cfg.outdir, "results.csv")
     _write_csv(result.csv_path, rows)

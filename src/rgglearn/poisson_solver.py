@@ -12,10 +12,9 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .geometry import closest_point
-from .graph_core import GraphFunction, _run_pair
+from .graph_core import GraphFunction
 
 
 class SourceSpec:
@@ -120,7 +119,7 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
             rz = rz_new
 
 
-def solve_graph_poisson(g, s, tol=1e-10, x0=None, jacobi=True):
+def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     """Solve the graph Poisson learning problem
     ======
 
@@ -136,8 +135,6 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None, jacobi=True):
         Relative residual target, ||L u - f||_2 <= tol ||f||_2.
     x0 : array, optional
         Starting iterate (default zero).
-    jacobi : bool
-        Diagonal preconditioning toggle (default on).
 
     Returns
     -------
@@ -157,7 +154,7 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None, jacobi=True):
     scale = g.sigma_eta * g.eps**2 * (g.n - 1)
     matvec = lambda v: (deg * v - g.wmul(v)) / scale
     diag = (deg - g.self_weights) / scale
-    minv = 1.0 / diag if jacobi else None
+    minv = 1.0 / diag
     degsum = deg.sum()
     project = lambda v: v - (deg @ v) / degsum
     check = lambda r: np.linalg.norm(r) <= tol * bnorm
@@ -182,27 +179,6 @@ def _collect_labels(g, labels):
     return idx, vals
 
 
-def _row_halves(A):
-    """Split a CSR matrix at its middle stored entry into two row blocks.
-
-    The blocks are views of A's data and index arrays, and each row is
-    summed exactly as A @ v sums it, so stacking their products reproduces
-    A @ v bit for bit.
-    """
-    mid = int(np.searchsorted(A.indptr, A.nnz // 2))
-    blocks = []
-    for start, stop in ((0, mid), (mid, A.shape[0])):
-        lo, hi = A.indptr[start], A.indptr[stop]
-        block = sparse.csr_matrix((stop - start, A.shape[1]), dtype=A.dtype)
-        # assigned after construction: the constructor copies a view that
-        # holds less than half of its base array
-        block.indptr = A.indptr[start:stop + 1] - lo
-        block.indices = A.indices[lo:hi]
-        block.data = A.data[lo:hi]
-        blocks.append(block)
-    return blocks
-
-
 def solve_laplace_learning(g, labels, tol=1e-9):
     """Laplace learning (harmonic label extension)
     ======
@@ -222,21 +198,20 @@ def solve_laplace_learning(g, labels, tol=1e-9):
     comp = g.component_labels()
     if not set(np.unique(comp)) <= set(comp[idx]):
         raise ValueError("a connected component has no labeled node; system singular")
-    out = np.empty(g.n)
+    out = np.zeros(g.n)
     out[idx] = vals
-    mask = np.ones(g.n, dtype=bool)
-    mask[idx] = False
-    U = np.nonzero(mask)[0]
+    U = np.setdiff1d(np.arange(g.n), idx)
     if U.size == 0:
         return GraphFunction(g, out)
-    WU = g.weight_matrix()[U, :]
-    WUU = WU[:, U]
-    b = np.asarray(WU[:, idx] @ vals).ravel()
-    top, bottom = _row_halves(WUU)
+    b = g.wmul(out)[U]  # W_UL vals: out is zero on U
+    full = np.zeros(g.n)  # v padded with zeros at the labeled nodes
     degU = g.degrees[U]
     diagU = degU - g.self_weights[U]
-    matvec = lambda v: degU * v - np.concatenate(
-        _run_pair(lambda: top @ v, lambda: bottom @ v, WUU.nnz // 2))
+
+    def matvec(v):
+        full[U] = v
+        return degU * v - g.wmul(full)[U]
+
     check = lambda r: np.max(np.abs(r) / degU) <= tol
     x0 = np.full(U.size, vals.mean())
     x, _, _ = _pcg(matvec, b, check, x0=x0, minv=1.0 / diagU, maxiter=10 * g.n)

@@ -113,6 +113,16 @@ def test_experiment_failures_exit_nonzero(tmp_path, capsys):
     assert "graph too sparse" in (out / "meta.txt").read_text()
 
 
+def test_demo_failure_exits_nonzero(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["demo", "--run.outdir", str(out), "--ladder.eps", "0.12",
+               "--ladder.n_const", "800", "--ladder.n_power", "0",
+               "--source.anchors", "0.5 0.5 ; 0.5 0.500001"])
+    assert rc == 1
+    assert "1 of 1 jobs failed (see meta.txt)" in capsys.readouterr().out
+    assert "both anchors map to one node" in (out / "meta.txt").read_text()
+
+
 def test_experiment_config_file(tmp_path):
     ini = tmp_path / "sweep.ini"
     ini.write_text("[run]\nseeds = 1\noutdir = %s\n"

@@ -9,6 +9,7 @@ from rgglearn.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
     RUNNERS,
+    _run_jobs,
     demo_two_point,
     fit_slope,
     run_convergence,
@@ -242,6 +243,11 @@ def test_mollify_k_list_validation(tmp_path):
         run_mollification_rate(mollify_config(tmp_path, ks="4 16 64"))  # eps_k > 1
 
 
+def test_mollify_empty_k_list_rejected(tmp_path):
+    with pytest.raises(ValueError, match="non-empty"):
+        run_mollification_rate(mollify_config(tmp_path, ks=""))
+
+
 def test_mollify_failures_counted_per_seed(tmp_path):
     # n eps^d < 1 fails each seed's graph; records stay one per (k, seed)
     cfg = make_config(tmp_path, **{"run.experiment": "mollify", "run.seeds": "2",
@@ -337,6 +343,78 @@ def test_demo_label_validation(tmp_path):
         demo_two_point(demo_config(
             tmp_path, **{"source.anchors": "0.3 0.5 ; 0.7 0.5 ; 0.5 0.3",
                          "source.coefficients": "1 -1 0"}))
+
+
+def test_demo_is_one_job_whatever_the_seed_count(tmp_path):
+    res = demo_two_point(demo_config(tmp_path, **{"run.seeds": "5"}))
+    assert (res.jobs, len(res.records), res.failures) == (1, 1, [])
+    lines = read_csv_lines(res.csv_path)
+    assert len(lines) == 2  # header and one data row
+    assert lines[1].split(",")[5] == "0"  # job 0 at seed 0
+
+
+def test_demo_failure_is_recorded(tmp_path):
+    # two anchors a hair apart map to the same sampled node
+    cfg = demo_config(tmp_path, **{"source.anchors": "0.5 0.5 ; 0.5 0.500001"})
+    res = demo_two_point(cfg)
+    assert res.jobs == 1
+    assert len(res.failures) == 1
+    assert "both anchors map to one node" in res.failures[0]
+    rec = res.records[0]
+    assert math.isnan(rec.l1_error) and math.isnan(rec.moll_error)
+    assert not (tmp_path / "out" / "laplace.csv").exists()
+    meta = (tmp_path / "out" / "meta.txt").read_text()
+    assert "both anchors map to one node" in meta
+
+
+def test_failed_jobs_logged_as_failed(tmp_path):
+    # n eps^d < 1 on both rungs: every job fails at the graph build
+    cfg = make_config(tmp_path, **{"run.seeds": "1", "ladder.eps": "0.3 0.24",
+                                   "ladder.n_const": "2", "ladder.n_power": "1"})
+    res = run_convergence(cfg)
+    assert (res.jobs, len(res.failures)) == (2, 2)
+    meta = (tmp_path / "out" / "meta.txt").read_text()
+    jobs = [ln for ln in meta.splitlines() if ln.startswith("job ")]
+    assert len(jobs) == 2
+    for j, line in enumerate(jobs):
+        assert line.startswith("job %d (" % j)
+        assert " failed wall=" in line
+        assert "iters=0" not in line
+
+
+def test_run_jobs_order_and_failed_job_reset(tmp_path):
+    # records come out k-major within a rung; a job that fails after
+    # filling its records still leaves them blank
+    cfg = make_config(tmp_path, **{"run.seeds": "2"})
+
+    def measure(recs, pts, g):
+        for rec in recs:
+            rec.l1_error, rec.iterations = float(g.n), 7
+        if recs[0].seed == 1:
+            raise RuntimeError("late failure")
+
+    res = _run_jobs(cfg, [(0.3, 300, [0, 2])], measure, [])
+    assert res.jobs == 2
+    assert [(r.k, r.seed) for r in res.records] == [(0, 0), (0, 1), (2, 0), (2, 1)]
+    for r in res.records:
+        if r.seed == 0:
+            assert (r.l1_error, r.iterations) == (300.0, 7)
+        else:
+            assert math.isnan(r.l1_error) and r.iterations == 0
+    assert res.failures == ["job 1 (eps=0.29999999999999999 n=300 seed=1): late failure"]
+
+
+def test_job_lines_carry_solver_stats(tmp_path):
+    cfg = mollify_config(tmp_path)
+    res = run_mollification_rate(cfg)
+    meta = (tmp_path / "out" / "meta.txt").read_text()
+    jobs = [ln for ln in meta.splitlines() if ln.startswith("job ")]
+    assert len(jobs) == res.jobs == 2  # one line per seed, not per (k, seed)
+    for seed, line in enumerate(jobs):
+        rec = [r for r in res.records if r.seed == seed][0]
+        assert line.startswith("job %d (eps=0.29999999999999999 n=400 seed=%d): "
+                               "iters=%d resid=" % (seed, seed, rec.iterations))
+        assert rec.iterations > 0
 
 
 def test_fit_slope_recovers_power_law():
