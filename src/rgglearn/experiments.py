@@ -253,10 +253,12 @@ class RateRecord:
     moll_error: float = math.nan
     iterations: int = 0
     residual: float = 0.0
-    runtime_s: float = 0.0
     checks: dict = field(default_factory=dict)
 
     def csv_row(self):
+        """The record's results.csv fields.  The runtime_s column stays blank
+        on purpose: a timing would make results.csv differ between runs of
+        one config; each job's wall time goes to meta.txt instead."""
         return {"experiment": self.experiment, "d": self.d, "n": self.n,
                 "eps": self.eps, "k": self.k, "seed": self.seed,
                 "l1_error": self.l1_error, "moll_error": self.moll_error}
@@ -377,10 +379,9 @@ def _run_jobs(cfg, rungs, measure, meta, seeds=None, points=None):
             except Exception as exc:  # noqa: BLE001 - recorded per job
                 result.failures.append("%s: %s" % (tag, exc))
                 recs, status = blank(), "failed"
-            wall = time.perf_counter() - t0
-            meta.append("%s: %s wall=%.2fs" % (tag, status, wall))
-            for rec in recs:
-                rec.runtime_s = wall
+            finally:
+                pts = g = None  # free this job's graph before the next one is built
+            meta.append("%s: %s wall=%.2fs" % (tag, status, time.perf_counter() - t0))
             per_seed.append(recs)
             result.jobs += 1
         result.records.extend(rec for row in zip(*per_seed) for rec in row)  # k-major

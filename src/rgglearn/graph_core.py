@@ -104,7 +104,9 @@ class Graph:
     points : (n,d) array
         Node coordinates.
     upper : scipy sparse matrix
-        Strict upper-triangular weights, one entry per undirected edge.
+        Strict upper-triangular weights, one entry per undirected edge.  A
+        canonical CSR matrix (sorted indices, no duplicates) is used as is,
+        without a copy; other input is converted to one.
     diag : (n,) array
         Self-weights w_xx.
     eps : float
@@ -202,9 +204,11 @@ class Graph:
         f = np.asarray(factors, dtype=np.float64)
         if f.shape != (self.n,):
             raise ValueError("factor length mismatch")
-        coo = self._upper.tocoo()
-        upper = sparse.coo_matrix((coo.data * f[coo.row] * f[coo.col],
-                                   (coo.row, coo.col)), shape=(self.n, self.n))
+        # same sparsity pattern: the new CSR shares this graph's index arrays
+        coo = self._upper.tocoo(copy=False)
+        upper = sparse.csr_matrix((coo.data * f[coo.row] * f[coo.col],
+                                   self._upper.indices, self._upper.indptr),
+                                  shape=(self.n, self.n))
         return Graph(self.points, upper, self._diag * f**2, self.eps,
                      kernel=self.kernel, sigma_eta=self._sigma_eta, seed=self.seed)
 

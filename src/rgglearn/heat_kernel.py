@@ -25,7 +25,7 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import gammaln, j0
 
-from .geometry import BALL_VOLUME, Box
+from .geometry import BALL_VOLUME, Box, _gauss_legendre
 from .graph_core import GraphFunction
 from .poisson_solver import assemble_source
 
@@ -234,7 +234,7 @@ def rho_hat(density, domain, kernel, eps, x):
         for lo, hi in ((a, x[0]), (x[0], b)):
             if hi <= lo:
                 continue
-            nodes, weights = np.polynomial.legendre.leggauss(128)
+            nodes, weights = _gauss_legendre(128)
             y = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
             w = 0.5 * (hi - lo) * weights
             vals = kernel.eta_eps(np.abs(y - x[0]), eps) * density.evaluate(y[:, None])
@@ -277,8 +277,8 @@ def _rho_hat_2d(density, domain, kernel, eps, x, n_theta=48, n_r=96):
         breaks.add(float(a))
     breaks.update([-np.pi, np.pi])
     angles = np.array(sorted(breaks))
-    gn, gw = np.polynomial.legendre.leggauss(n_theta)
-    rn, rw = np.polynomial.legendre.leggauss(n_r)
+    gn, gw = _gauss_legendre(n_theta)
+    rn, rw = _gauss_legendre(n_r)
     total = 0.0
     for a, b in zip(angles[:-1], angles[1:]):
         if b - a < 1e-14:
@@ -299,9 +299,9 @@ def _rho_hat_2d(density, domain, kernel, eps, x, n_theta=48, n_r=96):
 def _rho_hat_3d(density, domain, kernel, eps, x, n_u=48, n_az=96, n_r=64):
     if domain.boundary_distance(x) >= eps:
         # interior: spherical product quadrature, no clipping
-        un, uw = np.polynomial.legendre.leggauss(n_u)
+        un, uw = _gauss_legendre(n_u)
         az = np.linspace(0.0, 2 * np.pi, n_az, endpoint=False)
-        rn, rw = np.polynomial.legendre.leggauss(n_r)
+        rn, rw = _gauss_legendre(n_r)
         r = 0.5 * eps * (rn + 1.0)
         wr = 0.5 * eps * rw
         sin_t = np.sqrt(1 - un**2)
@@ -546,7 +546,7 @@ def _psi_grid(kernel, d, k):
 
 def _eta_hat(kernel, d, s):
     """Radial Fourier transform of the profile at frequencies s."""
-    nodes, weights = np.polynomial.legendre.leggauss(2048)
+    nodes, weights = _gauss_legendre(2048)
     r = 0.5 * (nodes + 1.0)
     w = 0.5 * weights
     er = kernel.eta(r)

@@ -1,10 +1,12 @@
 import math
 import os
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rgglearn import experiments
 from rgglearn.experiments import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -402,6 +404,28 @@ def test_run_jobs_order_and_failed_job_reset(tmp_path):
         else:
             assert math.isnan(r.l1_error) and r.iterations == 0
     assert res.failures == ["job 1 (eps=0.29999999999999999 n=300 seed=1): late failure"]
+
+
+def test_run_jobs_frees_each_graph_before_the_next_build(tmp_path, monkeypatch):
+    # job j's graph is gone when job j+1's build starts, also when job j
+    # failed after its graph was built
+    graphs, alive = [], []
+
+    def build(pts, eps, kernel):
+        alive.append([ref() is not None for ref in graphs])
+        g = build_graph(pts, eps, kernel)
+        graphs.append(weakref.ref(g))
+        return g
+
+    def measure(recs, pts, g):
+        if recs[0].seed == 1:
+            raise RuntimeError("late failure")
+
+    monkeypatch.setattr(experiments, "build_graph", build)
+    cfg = make_config(tmp_path, **{"run.seeds": "3"})
+    res = _run_jobs(cfg, [(0.3, 300, [0])], measure, [])
+    assert res.jobs == len(graphs) == 3 and len(res.failures) == 1
+    assert alive == [[], [False], [False, False]]
 
 
 def test_job_lines_carry_solver_stats(tmp_path):

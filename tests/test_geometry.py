@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rgglearn import geometry
 from rgglearn.geometry import (
     Box,
     Disk,
@@ -14,6 +16,7 @@ from rgglearn.geometry import (
     sample_points,
     save_points,
 )
+from rgglearn.geometry import _gauss_legendre
 
 UNIT_BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
 
@@ -99,6 +102,48 @@ def test_kernel_second_moment_identity():
                 from scipy.integrate import simpson
                 val = UNIT_BALL_VOLUME[d] * simpson(integrand, x=r)
                 assert abs(val - eps**2 * k.sigma_eta) < 1e-6
+
+
+def masked_eta(kernel, t):
+    # the profile evaluated only on t <= 1, zero elsewhere (NaN included)
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    mask = t <= 1.0
+    out[mask] = kernel._norm * kernel._shape(t[mask])
+    return out
+
+
+@pytest.mark.parametrize("variant", ["indicator", "cone", "bump"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eta_equals_masked_form(variant, d):
+    k = make_kernel(variant, d)
+    t = np.array([0.0, 1.0, 1.0 + 1e-12, np.inf, np.nan, 0.5, 1.0 - 1e-12, 2.0, -0.0])
+    got = k.eta(t)
+    assert got.tobytes() == masked_eta(k, t).tobytes()
+    assert got[1] == (k.eta0 if variant == "indicator" else 0.0)
+    assert np.all(got[[2, 3, 4, 7]] == 0.0)
+    eps = 0.3
+    r = t * eps
+    assert k.eta_eps(r, eps).tobytes() == (eps ** (-d) * masked_eta(k, r / eps)).tobytes()
+    for x in (0.0, 0.25, 1.0, 1.5, np.nan):  # 0-d input gives 0-d output
+        for arg in (x, np.array(x)):
+            got = k.eta(arg)
+            assert got.shape == () and got.tobytes() == masked_eta(k, x).tobytes()
+    assert k.eta_eps(np.array(0.1), eps).tobytes() == (
+        eps ** (-d) * masked_eta(k, 0.1 / eps)).tobytes()
+
+
+def test_gauss_legendre_cached_and_read_only():
+    nodes, weights = _gauss_legendre(16)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(16)
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(weights, ref_weights)
+    again = _gauss_legendre(16)
+    assert again[0] is nodes and again[1] is weights
+    with pytest.raises(ValueError):
+        nodes[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+    assert np.array_equal(_gauss_legendre(16)[1], ref_weights)
 
 
 def test_kernel_errors():
@@ -217,8 +262,27 @@ def brute_force_edges(pts, eps, kernel):
     return i[keep], j[keep], w[keep]
 
 
+def assert_upper_matches_coo_route(upper, pts, eps, kernel):
+    n = pts.shape[0]
+    # canonical: rows ascending, columns strictly ascending within a row
+    rows = np.repeat(np.arange(n), np.diff(upper.indptr))
+    assert np.all(rows < upper.indices)
+    assert np.all(np.diff(rows * n + upper.indices) > 0)
+    # the edges in an arbitrary order, as a kd-tree returns them, through
+    # COO -> CSR, which sorts every row and sums duplicates
+    i, j, w = brute_force_edges(pts, eps, kernel)
+    p = np.random.default_rng(0).permutation(i.size)
+    ref = sparse.csr_matrix(sparse.coo_matrix(
+        (w[p], (i[p].astype(np.int32), j[p].astype(np.int32))), shape=(n, n)))
+    ref.sum_duplicates()
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(upper, name), getattr(ref, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
 def assert_matches_brute_force(pts, eps, kernel):
     g = build_graph(pts, eps, kernel)
+    assert_upper_matches_coo_route(g._upper, pts, eps, kernel)
     i, j, w = g.edge_arrays()
     off = i != j
     bi, bj, bw = brute_force_edges(pts, eps, kernel)
@@ -243,6 +307,14 @@ def test_build_graph_matches_brute_force_property(d, variant, n, seed, eps_frac,
         pts = np.round(pts * quantum) / quantum
         eps = max(np.ceil(eps * quantum), 1.0) / quantum
     assert_matches_brute_force(pts, eps, make_kernel(variant, d))
+
+
+def test_build_graph_blocks_match_one_pass(monkeypatch):
+    # more candidate pairs than one block: the blocked weight pass gives
+    # the same CSR as the COO route
+    monkeypatch.setattr(geometry, "_BLOCK", 7)
+    pts = np.random.default_rng(3).random((60, 2))
+    assert assert_matches_brute_force(pts, 0.3, make_kernel("bump", 2)) > 7
 
 
 @pytest.mark.parametrize("variant", ["indicator", "cone", "bump"])

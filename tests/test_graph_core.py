@@ -251,6 +251,26 @@ def test_property_null_space_and_adjoint(n, seed):
     assert abs(lhs - rhs) < 1e-12 * (1 + pnorm(u, 2) * pnorm(v, 2))
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=2, max_value=30), st.integers(min_value=0, max_value=10**6))
+def test_reweighted_matches_coo_route(n, seed):
+    g, _ = random_graph(n, seed=seed)
+    f = np.random.default_rng(seed).random(n)
+    f[::3] = 0.0  # zero factors keep their entries, as explicit zeros
+    r = g.reweighted(f)
+    coo = g._upper.tocoo()
+    ref = sparse.csr_matrix(sparse.coo_matrix(
+        (coo.data * f[coo.row] * f[coo.col], (coo.row, coo.col)), shape=(n, n)))
+    ref.sum_duplicates()
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(r._upper, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert r.self_weights.tobytes() == (g.self_weights * f**2).tobytes()
+    # the sparsity pattern is shared with the parent, not copied
+    assert np.shares_memory(r._upper.indices, g._upper.indices)
+    assert np.shares_memory(r._upper.indptr, g._upper.indptr)
+
+
 def test_graph_function_length_check():
     g, _ = random_graph(6, seed=24)
     with pytest.raises(ValueError):
