@@ -58,8 +58,9 @@ def _cmd_sample(args):
         kernel = make_kernel(args.kernel, domain.d)
         g = build_graph(pts, args.eps, kernel, seed=args.seed)
         save_graph(g, args.graph_out)
+        i, j, _ = g.edge_arrays()  # undirected edges: the entries with i < j
         print("wrote %s (edges=%d, connected=%s)"
-              % (args.graph_out, g.edge_arrays()[0].size, g.connected))
+              % (args.graph_out, np.count_nonzero(i < j), g.connected))
     return 0
 
 

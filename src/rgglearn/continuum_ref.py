@@ -13,10 +13,10 @@ delta_y - rho^2 / int rho^2.
 import numpy as np
 from scipy import sparse
 
-from .geometry import Box
+from .geometry import Box, _cell_grid
 from .graph_core import _write_columns
 from .heat_kernel import GridField
-from .poisson_solver import SourceSpec, _pcg
+from .poisson_solver import SourceSpec, _gauged_cg
 
 
 class ReferenceGrid:
@@ -28,27 +28,18 @@ class ReferenceGrid:
         self.domain = domain
         self.h = float(h)
         self.density = density
-        lo, up = domain.bounding_box()
-        m = np.round((up - lo) / self.h).astype(int)
-        if np.any(m < 2):
-            raise ValueError("grid must have at least two cells per axis")
-        if np.max(np.abs((up - lo) - m * self.h)) > 1e-9 * self.h:
-            raise ValueError("h must divide each box side")
-        self.shape = tuple(int(v) for v in m)
-        self.axes = tuple(lo[i] + (np.arange(m[i]) + 0.5) * self.h
-                          for i in range(domain.d))
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        self.shape, self.axes, pts = _cell_grid(domain, self.h)
         self.rho = density.evaluate(pts).reshape(self.shape)
         self.rho2 = self.rho**2
-        # harmonic mean of rho^2 on each interior face, one array per axis
-        self.face = []
+        # per axis: harmonic mean of rho^2 on each interior face, and the
+        # slices of the cells below and above those faces
+        self._faces = []
         d = domain.d
         for i in range(d):
             lo_sl = tuple(slice(0, -1) if j == i else slice(None) for j in range(d))
             hi_sl = tuple(slice(1, None) if j == i else slice(None) for j in range(d))
             a, b = self.rho2[lo_sl], self.rho2[hi_sl]
-            self.face.append(2.0 * a * b / (a + b))
+            self._faces.append((2.0 * a * b / (a + b), lo_sl, hi_sl))
 
     @property
     def d(self):
@@ -60,34 +51,25 @@ class ReferenceGrid:
 
     def apply(self, u):
         """Stencil application: (A u)_c = h^{-2} sum_faces a_f (u_c - u_nb)."""
-        d = self.d
         out = np.zeros_like(u)
-        for i, a in enumerate(self.face):
-            lo_sl = tuple(slice(0, -1) if j == i else slice(None) for j in range(d))
-            hi_sl = tuple(slice(1, None) if j == i else slice(None) for j in range(d))
+        for a, lo_sl, hi_sl in self._faces:
             flux = a * (u[lo_sl] - u[hi_sl])
             out[lo_sl] += flux
             out[hi_sl] -= flux
         return out / self.h**2
 
     def stencil_diagonal(self):
-        d = self.d
         diag = np.zeros(self.shape)
-        for i, a in enumerate(self.face):
-            lo_sl = tuple(slice(0, -1) if j == i else slice(None) for j in range(d))
-            hi_sl = tuple(slice(1, None) if j == i else slice(None) for j in range(d))
+        for a, lo_sl, hi_sl in self._faces:
             diag[lo_sl] += a
             diag[hi_sl] += a
         return diag / self.h**2
 
     def operator_matrix(self):
         """Sparse assembly of the stencil, for small-grid checks."""
-        d = self.d
         idx = np.arange(self.n_cells).reshape(self.shape)
         rows, cols, vals = [], [], []
-        for i, a in enumerate(self.face):
-            lo_sl = tuple(slice(0, -1) if j == i else slice(None) for j in range(d))
-            hi_sl = tuple(slice(1, None) if j == i else slice(None) for j in range(d))
+        for a, lo_sl, hi_sl in self._faces:
             lo_i, hi_i = idx[lo_sl].ravel(), idx[hi_sl].ravel()
             af = a.ravel() / self.h**2
             rows.extend([lo_i, hi_i, lo_i, hi_i])
@@ -110,22 +92,18 @@ class ReferenceGrid:
         return GridFunction(self, values)
 
 
-class GridFunction:
+class GridFunction(GridField):
     """Cell-centered values bound to a reference grid."""
 
     def __init__(self, grid, values):
         values = np.asarray(values, dtype=float)
         if values.size != grid.n_cells:
             raise ValueError("value count does not match the grid")
+        super().__init__(grid.axes, values.reshape(grid.shape), grid.h)
         self.grid = grid
-        self.values = values.reshape(grid.shape)
 
     def __len__(self):
         return self.grid.n_cells
-
-    def integrate(self, weight=None):
-        v = self.values if weight is None else self.values * weight
-        return float(v.sum() * self.grid.h**self.grid.d)
 
 
 def build_grid(domain, h, density):
@@ -184,18 +162,13 @@ def solve_weighted_poisson(grid, f, tol=1e-10):
     total = b.sum() * hd
     if abs(total) > 1e-10 * max(1.0, np.abs(b).sum() * hd):
         raise ValueError("incompatible source: cell-volume integral %g is not zero" % total)
-    bnorm = np.linalg.norm(b.ravel())
-    if bnorm == 0.0:
+    b = b.ravel()
+    if np.linalg.norm(b) == 0.0:
         return GridFunction(grid, np.zeros(grid.shape))
     shape = grid.shape
-    matvec = lambda v: grid.apply(v.reshape(shape)).ravel()
-    minv = 1.0 / grid.stencil_diagonal().ravel()
-    w = grid.rho2.ravel() * hd
-    wsum = w.sum()
-    project = lambda v: v - (w @ v) / wsum
-    check = lambda r: np.linalg.norm(r) <= tol * bnorm
-    x, _, _ = _pcg(matvec, b.ravel(), check, minv=minv, project=project,
-                   maxiter=200 * int(np.sum(shape)))
+    x, _, _ = _gauged_cg(lambda v: grid.apply(v.reshape(shape)).ravel(), b,
+                         grid.stencil_diagonal().ravel(), grid.rho2.ravel() * hd, tol,
+                         200 * int(np.sum(shape)))
     return GridFunction(grid, x)
 
 
@@ -223,7 +196,7 @@ def interpolate_at(u, pts):
     inside = u.grid.domain.contains(pts)
     if not np.all(inside):
         raise ValueError("point outside the domain")
-    return GridField(u.grid.axes, u.values, u.grid.h).sample(pts)
+    return u.sample(pts)
 
 
 def save_grid_solution(path, u):

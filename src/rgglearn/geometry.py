@@ -500,6 +500,24 @@ def build_graph(points, eps, kernel, seed=None):
     return Graph(points, upper, diag, eps, kernel=kernel, seed=seed)
 
 
+def _cell_grid(domain, h):
+    """Cell-centered grid of step h on the domain's bounding box.
+
+    Returns (shape, axes, centers): the cell count per axis, the cell-center
+    coordinates along each axis, and all centers as an (n_cells, d) array in
+    C order.  h must divide each side, and each axis needs two cells.
+    """
+    lo, up = domain.bounding_box()
+    m = np.round((up - lo) / h).astype(int)
+    if np.any(m < 2):
+        raise ValueError("grid must have at least two cells per axis")
+    if np.max(np.abs((up - lo) - m * h)) > 1e-9 * h:
+        raise ValueError("h must divide each box side")
+    axes = tuple(lo[i] + (np.arange(m[i]) + 0.5) * h for i in range(domain.d))
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return tuple(int(v) for v in m), axes, np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 def closest_point(x, g):
     """Index of the graph node closest to x; ties break to the smallest index."""
     x = np.asarray(x, dtype=float)

@@ -365,9 +365,8 @@ def dirichlet_energy(u):
     Self-weights contribute nothing since u(x)-u(x) = 0.
     """
     g = u.graph
-    v = u.values
-    lv = g.degrees * v - g.wmul(v)
-    return float(v @ lv) / (g.sigma_eta * g.eps**2 * g.n * (g.n - 1))
+    lv = laplacian_apply(u, LaplacianKind.Unnormalized).values
+    return float(u.values @ lv) / (g.sigma_eta * g.eps**2 * g.n * (g.n - 1))
 
 
 def energy_discrete(u, f):
@@ -415,10 +414,11 @@ def save_graph(g, path):
     the three files load from any working directory and can be moved
     together.
     """
+    from .geometry import save_points  # deferred: geometry imports this module
+
     _write_columns(path, "i,j,w", g.edge_arrays(), ("%d", "%d", "%.17g"))
     pts_path = path + ".points"
-    _write_columns(pts_path, ",".join("x%d" % a for a in range(g.d)), g.points.T,
-                   ["%.17g"] * g.d)
+    save_points(g.points, pts_path)
     kname = getattr(g.kernel, "name", "") if g.kernel is not None else ""
     with open(path + ".meta", "w") as fh:
         fh.write("n=%d\n" % g.n)
@@ -436,6 +436,8 @@ def load_graph(path):
     A relative ``points=`` path in the sidecar is resolved against the
     directory of the graph file; an absolute one is used as is.
     """
+    from .geometry import load_points, make_kernel  # deferred: geometry imports this module
+
     meta = {}
     with open(path + ".meta") as fh:
         for line in fh:
@@ -449,7 +451,7 @@ def load_graph(path):
     sigma_eta = float(meta["sigma_eta"])
     seed = int(meta["seed"]) if meta.get("seed") else None
     pts_path = os.path.join(os.path.dirname(path), meta["points"])
-    points = np.loadtxt(pts_path, delimiter=",", skiprows=1, ndmin=2)
+    points = load_points(pts_path)
     if points.shape != (n, d):
         raise ValueError("points file shape %r does not match metadata (n=%d, d=%d)"
                          % (points.shape, n, d))
@@ -463,8 +465,5 @@ def load_graph(path):
     mask = i == j
     np.add.at(diag, i[mask], w[mask])
     upper = sparse.coo_matrix((w[~mask], (i[~mask], j[~mask])), shape=(n, n))
-    kernel = None
-    if meta.get("kernel"):
-        from .geometry import make_kernel  # deferred to avoid import cycle
-        kernel = make_kernel(meta["kernel"], d)
+    kernel = make_kernel(meta["kernel"], d) if meta.get("kernel") else None
     return Graph(points, upper, diag, eps, kernel=kernel, sigma_eta=sigma_eta, seed=seed)

@@ -25,8 +25,8 @@ import numpy as np
 from scipy.integrate import simpson
 from scipy.special import gammaln, j0
 
-from .geometry import BALL_VOLUME, Box, _gauss_legendre
-from .graph_core import GraphFunction
+from .geometry import BALL_VOLUME, _cell_grid, _gauss_legendre
+from .graph_core import GraphFunction, LaplacianKind, laplacian_apply
 from .poisson_solver import assemble_source
 
 MAX_HEAT_STEPS = 10**6
@@ -192,8 +192,7 @@ def smooth_poisson(g, u, s, k):
     geometric-scaled Laplacian and (u_k)_deg = (u)_deg.
     """
     f = assemble_source(g, s)
-    scale = g.sigma_eta * g.eps**2 * (g.n - 1)
-    lu = (g.degrees * u.values - g.wmul(u.values)) / scale
+    lu = laplacian_apply(u, LaplacianKind.GeometricScaled).values
     fnorm = np.linalg.norm(f.values)
     if np.linalg.norm(lu - f.values) > 1e-8 * max(fnorm, 1e-300):
         raise ValueError("u does not solve the graph Poisson problem for s")
@@ -255,13 +254,14 @@ def _exit_crossings(domain, x, eps, nscan=4096):
     out = []
     for i in idx:
         a, b = theta[i], theta[i + 1]
+        ta = domain.ray_exit(x, np.array([[np.cos(a), np.sin(a)]]))[0]
         for _ in range(60):
             m = 0.5 * (a + b)
             tm = domain.ray_exit(x, np.array([[np.cos(m), np.sin(m)]]))[0]
-            if (tm - eps) * (domain.ray_exit(x, np.array([[np.cos(a), np.sin(a)]]))[0] - eps) <= 0:
+            if (tm - eps) * (ta - eps) <= 0:
                 b = m
             else:
-                a = m
+                a, ta = m, tm
         out.append(0.5 * (a + b))
     return out
 
@@ -371,22 +371,28 @@ class GridField:
         return float(v.sum() * self.h ** len(self.axes))
 
 
+def _cell_average(kernel, eps, axes, center, h, sub):
+    """eta_eps(|y - center|) averaged over sub^d midpoints of each grid cell.
+
+    axes are the cell-center coordinates along each axis (cells of side h);
+    returns one value per cell.
+    """
+    shift = ((np.arange(sub) + 0.5) / sub - 0.5) * h
+    fine = [(ax[:, None] + shift[None, :]).ravel() for ax in axes]
+    mesh = np.meshgrid(*fine, indexing="ij")
+    r = np.sqrt(sum((gg - c) ** 2 for gg, c in zip(mesh, center)))
+    # split each fine axis into (cell, midpoint) and average the midpoints
+    vals = kernel.eta_eps(r, eps).reshape([s for ax in axes for s in (ax.size, sub)])
+    for i in range(len(axes)):
+        vals = vals.mean(axis=i + 1)
+    return vals
+
+
 def _cell_average_axes(kernel, eps, h, d, sub=4):
     """Kernel eta_eps cell-averaged onto a (2m+1,)*d offset stencil."""
     m = int(np.floor(eps / h + 1e-12))
     coarse = np.arange(-m, m + 1) * h
-    shift = ((np.arange(sub) + 0.5) / sub - 0.5) * h
-    fine = (coarse[:, None] + shift[None, :]).ravel()
-    grids = np.meshgrid(*([fine] * d), indexing="ij")
-    r = np.sqrt(sum(gg**2 for gg in grids))
-    vals = kernel.eta_eps(r, eps)
-    newshape = []
-    for _ in range(d):
-        newshape.extend([coarse.size, sub])
-    vals = vals.reshape(newshape)
-    for i in range(d):
-        vals = vals.mean(axis=2 * i + 1 - i)
-    return vals
+    return _cell_average(kernel, eps, [coarse] * d, np.zeros(d), h, sub)
 
 
 def repeated_average(density, domain, kernel, eps, x0, k, h):
@@ -418,40 +424,19 @@ def repeated_average(density, domain, kernel, eps, x0, k, h):
         raise ValueError("grid too coarse: h must be <= eps/8")
     if domain.boundary_distance(x0) < eps:
         raise ValueError("x0 too close to the boundary (need B(x0,eps) inside)")
-    d = domain.d
-    lo, up = domain.bounding_box()
-    m = np.round((up - lo) / h).astype(int)
-    if np.max(np.abs((up - lo) - m * h)) > 1e-9 * h:
-        raise ValueError("h must divide the box sides")
-    axes = [lo[i] + (np.arange(m[i]) + 0.5) * h for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.ravel() for g in mesh], axis=-1)
-    inside = domain.contains(pts).reshape(tuple(m))
-    rho = density.evaluate(pts).reshape(tuple(m))
+    shape, axes, pts = _cell_grid(domain, h)
+    inside = domain.contains(pts).reshape(shape)
+    rho = density.evaluate(pts).reshape(shape)
     rho = np.where(inside, rho, 0.0)
 
-    stencil = _cell_average_axes(kernel, eps, h, d) * h**d
+    stencil = _cell_average_axes(kernel, eps, h, domain.d) * h**domain.d
     conv = lambda f: fftconvolve(f, stencil, mode="same")
     rho_hat_grid = conv(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(rho_hat_grid > 0, rho / rho_hat_grid, 0.0)
 
     # initial field: cell-averaged eta_eps centered at x0
-    sub = 4
-    fine_axes = []
-    for i in range(d):
-        shift = ((np.arange(sub) + 0.5) / sub - 0.5) * h
-        fine_axes.append((axes[i][:, None] + shift[None, :]).ravel())
-    fmesh = np.meshgrid(*fine_axes, indexing="ij")
-    r = np.sqrt(sum((gg - x0[i]) ** 2 for i, gg in enumerate(fmesh)))
-    phi = kernel.eta_eps(r, eps)
-    newshape = []
-    for i in range(d):
-        newshape.extend([m[i], sub])
-    phi = phi.reshape(newshape)
-    for i in range(d):
-        phi = phi.mean(axis=2 * i + 1 - i)
-    phi = np.where(inside, phi, 0.0)
+    phi = np.where(inside, _cell_average(kernel, eps, axes, x0, h, 4), 0.0)
 
     for _ in range(int(k)):
         phi = conv(c * phi)

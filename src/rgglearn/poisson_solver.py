@@ -4,8 +4,10 @@ Three methods share the machinery here: Poisson learning (graph Poisson
 equation with mean-zero point sources), Laplace learning (harmonic
 extension of boundary labels), and Poisson-reweighted Laplace learning
 (Laplace learning after amplifying weights near labels by a graph-Poisson
-factor gamma).  All linear solves use preconditioned conjugate gradients
-with the degree-weighted mean projected out each iteration.
+factor gamma).  All linear solves use Jacobi-preconditioned conjugate
+gradients.  The singular ones (graph Poisson, gamma, and the continuum
+reference in continuum_ref) share `_gauged_cg`, which keeps the iterates
+in a weighted-mean-zero gauge.
 """
 
 import time
@@ -119,6 +121,23 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
             rz = rz_new
 
 
+def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
+    """Jacobi-preconditioned CG for a singular symmetric system A x = b.
+
+    A is symmetric positive semi-definite with only the constants in its
+    kernel (a Neumann or graph Laplacian) and diag is its diagonal.  The
+    iterates are projected onto the gauge weights @ x = 0 and CG stops when
+    ||b - A x||_2 <= tol ||b||_2.  Returns (x, iterations, residual norm).
+    """
+    minv = 1.0 / diag
+    del diag  # the caller's temporary: free it before the iteration starts
+    bnorm = np.linalg.norm(b)
+    wsum = weights.sum()
+    project = lambda v: v - (weights @ v) / wsum
+    check = lambda r: np.linalg.norm(r) <= tol * bnorm
+    return _pcg(matvec, b, check, x0=x0, minv=minv, project=project, maxiter=maxiter)
+
+
 def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     """Solve the graph Poisson learning problem
     ======
@@ -145,21 +164,13 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     if not g.connected:
         raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
     t0 = time.perf_counter()
-    f = assemble_source(g, s)
-    b = f.values
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    b = assemble_source(g, s).values
+    if np.linalg.norm(b) == 0.0:
         return GraphFunction(g, np.zeros(g.n)), SolveReport(0, 0.0, time.perf_counter() - t0)
     deg = g.degrees
     scale = g.sigma_eta * g.eps**2 * (g.n - 1)
-    matvec = lambda v: (deg * v - g.wmul(v)) / scale
-    diag = (deg - g.self_weights) / scale
-    minv = 1.0 / diag
-    degsum = deg.sum()
-    project = lambda v: v - (deg @ v) / degsum
-    check = lambda r: np.linalg.norm(r) <= tol * bnorm
-    x, iters, res = _pcg(matvec, b, check, x0=x0, minv=minv, project=project,
-                         maxiter=10 * g.n)
+    x, iters, res = _gauged_cg(lambda v: (deg * v - g.wmul(v)) / scale, b,
+                               (deg - g.self_weights) / scale, deg, tol, 10 * g.n, x0=x0)
     return GraphFunction(g, x), SolveReport(iters, res, time.perf_counter() - t0)
 
 
@@ -192,8 +203,10 @@ def solve_laplace_learning(g, labels, tol=1e-9):
     g : Graph
     labels : list of (node, value)
     tol : float
-        Bound on the mean-value-property residual.
+        Bound on the mean-value-property residual; must be positive.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     idx, vals = _collect_labels(g, labels)
     comp = g.component_labels()
     if not set(np.unique(comp)) <= set(comp[idx]):
@@ -224,23 +237,21 @@ def pwll_gamma(g, label_nodes, tol=1e-10):
 
     Solves the unnormalized graph Poisson equation
     sum_y w_xy (gamma(x) - gamma(y)) = sum_z (1_{x=z} - 1/n) over the
-    label set, then shifts so min gamma = 1.
+    label set, then shifts so min gamma = 1.  tol is the relative residual
+    target and must be positive.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     nodes = sorted(set(int(z) for z in label_nodes))
     q = np.full(g.n, -float(len(nodes)) / g.n)
     q[nodes] += 1.0
-    qnorm = np.linalg.norm(q)
-    if qnorm == 0.0:
+    if np.linalg.norm(q) == 0.0:
         return GraphFunction(g, np.ones(g.n))
     if not g.connected:
         raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
     deg = g.degrees
-    matvec = lambda v: deg * v - g.wmul(v)
-    minv = 1.0 / (deg - g.self_weights)
-    degsum = deg.sum()
-    project = lambda v: v - (deg @ v) / degsum
-    check = lambda r: np.linalg.norm(r) <= tol * qnorm
-    x, _, _ = _pcg(matvec, q, check, minv=minv, project=project, maxiter=10 * g.n)
+    x, _, _ = _gauged_cg(lambda v: deg * v - g.wmul(v), q, deg - g.self_weights, deg,
+                         tol, 10 * g.n)
     return GraphFunction(g, x - x.min() + 1.0)
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ def write_sources(path):
     return str(path)
 
 
-def test_sample_points_and_graph(tmp_path):
+def test_sample_points_and_graph(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     gfile = tmp_path / "g.csv"
     rc = main(["sample", "--n", "200", "--eps", "0.2", "--seed", "4",
@@ -27,6 +29,10 @@ def test_sample_points_and_graph(tmp_path):
     assert len(lines) == 201
     g = load_graph(str(gfile))
     assert g.n == 200 and g.eps == 0.2
+    # the printed count is of undirected edges: self-weights are not edges
+    edges = int(re.search(r"edges=(\d+)", capsys.readouterr().out).group(1))
+    W = g.weight_matrix()
+    assert edges == (W.nnz - np.count_nonzero(W.diagonal())) // 2
 
 
 def test_sample_disk(tmp_path):

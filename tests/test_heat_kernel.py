@@ -12,6 +12,7 @@ from rgglearn.geometry import Box, Disk, make_kernel, make_density, sample_point
 from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, weighted_mean)
 from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _chebyshev_coefficients,
+                                  _exit_crossings,
                                   heat_column, heat_convolve, psi_table,
                                   repeated_average, rho_hat, scale_constants,
                                   smooth_poisson)
@@ -374,6 +375,20 @@ def test_rho_hat_affine_density_interior():
     x = np.array([0.4, 0.6])
     want = float(rho.evaluate(x[None, :])[0])
     assert abs(rho_hat(rho, box, ker, 0.15, x) - want) < 1e-9
+
+
+def test_exit_crossings_one_ray_exit_per_bisection_step():
+    # x at distance 0.05 from the lower side, eps = 0.1: the clipped radius
+    # switches regime at the two angles where the exit time equals eps
+    box = Box([0, 0], [1, 1])
+    x = np.array([0.5, 0.05])
+    calls = []
+    ray_exit = box.ray_exit
+    box.ray_exit = lambda x, dirs: calls.append(1) or ray_exit(x, dirs)
+    angles = _exit_crossings(box, x, 0.1)
+    assert sorted(angles) == pytest.approx([-5 * np.pi / 6, -np.pi / 6], abs=1e-12)
+    # one scan, then per crossing one call at the bracket end and 60 steps
+    assert len(calls) == 1 + 61 * len(angles)
 
 
 def test_rho_hat_lipschitz_bound():

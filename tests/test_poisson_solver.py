@@ -258,6 +258,23 @@ def test_pcg_unreachable_tolerance_fails_fast():
     assert len(calls) < 1000
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("solve", [
+    lambda g, tol: solve_laplace_learning(g, [(0, 1.0), (20, -1.0)], tol=tol),
+    lambda g, tol: pwll_gamma(g, [0, 20], tol=tol),
+    lambda g, tol: solve_pwll(g, [(0, 1.0), (20, -1.0)], tol=tol),
+], ids=["solve_laplace_learning", "pwll_gamma", "solve_pwll"])
+def test_nonpositive_tol_fails_before_any_matvec(solve, tol):
+    # a tolerance <= 0 is unreachable: CG would spin to maxiter = 10 n
+    g = small_geometric_graph()
+    calls = []
+    wmul = g.wmul
+    g.wmul = lambda u: calls.append(1) or wmul(u)
+    with pytest.raises(ValueError, match="tol must be positive"):
+        solve(g, tol)
+    assert calls == []
+
+
 def test_laplace_learning_threaded_matches_serial(monkeypatch):
     g = small_geometric_graph(n=300, eps=0.25, seed=8)
     labels = [(0, 1.0), (150, -1.0), (299, 0.5)]
