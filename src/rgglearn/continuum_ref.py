@@ -31,15 +31,18 @@ class ReferenceGrid:
         self.shape, self.axes, pts = _cell_grid(domain, self.h)
         self.rho = density.evaluate(pts).reshape(self.shape)
         self.rho2 = self.rho**2
-        # per axis: harmonic mean of rho^2 on each interior face, and the
-        # slices of the cells below and above those faces
+        # per axis i, over the C-ordered cell vector: the harmonic mean of
+        # rho^2 on the face between cells c and c + stride_i, for every c <
+        # n_cells - stride_i, and zero where that pair wraps across the end
+        # of axis i (there is no face there)
+        r2 = self.rho2.ravel()
         self._faces = []
-        d = domain.d
-        for i in range(d):
-            lo_sl = tuple(slice(0, -1) if j == i else slice(None) for j in range(d))
-            hi_sl = tuple(slice(1, None) if j == i else slice(None) for j in range(d))
-            a, b = self.rho2[lo_sl], self.rho2[hi_sl]
-            self._faces.append((2.0 * a * b / (a + b), lo_sl, hi_sl))
+        for i in range(domain.d):
+            s, inner = _axis_pairs(self.shape, i)
+            lo, hi = r2[:-s][inner], r2[s:][inner]
+            a = np.zeros(r2.size - s)
+            a[inner] = 2.0 * lo * hi / (lo + hi)
+            self._faces.append((s, a))
 
     @property
     def d(self):
@@ -50,28 +53,42 @@ class ReferenceGrid:
         return int(np.prod(self.shape))
 
     def apply(self, u):
-        """Stencil application: (A u)_c = h^{-2} sum_faces a_f (u_c - u_nb)."""
-        out = np.zeros_like(u)
-        for a, lo_sl, hi_sl in self._faces:
-            flux = a * (u[lo_sl] - u[hi_sl])
-            out[lo_sl] += flux
-            out[hi_sl] -= flux
-        return out / self.h**2
+        """Stencil application: (A u)_c = h^{-2} sum_faces a_f (u_c - u_nb).
+
+        Each axis is four contiguous 1-D passes over the flat cell vector.
+        A wrap pair has a = 0, so for finite u it adds a signed zero to out,
+        and that changes nothing.  In round-to-nearest x + y is -0.0 only
+        when x and y both are, and x - y only when x is -0.0 and y is +0.0;
+        so out, which starts at +0.0, never becomes -0.0, and adding or
+        subtracting a signed zero leaves every other value as it is.  The
+        result is bitwise that of the sum over the faces alone.
+        """
+        v = u.ravel()
+        out = np.zeros_like(v)
+        flux = np.empty(v.size - 1)
+        for s, a in self._faces:
+            f = np.subtract(v[:-s], v[s:], out=flux[:v.size - s])
+            f *= a
+            out[:-s] += f
+            out[s:] -= f
+        out /= self.h**2
+        return out.reshape(u.shape)
 
     def stencil_diagonal(self):
-        diag = np.zeros(self.shape)
-        for a, lo_sl, hi_sl in self._faces:
-            diag[lo_sl] += a
-            diag[hi_sl] += a
-        return diag / self.h**2
+        diag = np.zeros(self.n_cells)
+        for s, a in self._faces:
+            diag[:-s] += a
+            diag[s:] += a
+        diag /= self.h**2
+        return diag.reshape(self.shape)
 
     def operator_matrix(self):
         """Sparse assembly of the stencil, for small-grid checks."""
-        idx = np.arange(self.n_cells).reshape(self.shape)
         rows, cols, vals = [], [], []
-        for a, lo_sl, hi_sl in self._faces:
-            lo_i, hi_i = idx[lo_sl].ravel(), idx[hi_sl].ravel()
-            af = a.ravel() / self.h**2
+        for i, (s, a) in enumerate(self._faces):
+            lo_i = np.flatnonzero(_axis_pairs(self.shape, i)[1])
+            hi_i = lo_i + s
+            af = a[lo_i] / self.h**2
             rows.extend([lo_i, hi_i, lo_i, hi_i])
             cols.extend([lo_i, hi_i, hi_i, lo_i])
             vals.extend([af, af, -af, -af])
@@ -104,6 +121,16 @@ class GridFunction(GridField):
 
     def __len__(self):
         return self.grid.n_cells
+
+
+def _axis_pairs(shape, i):
+    """Stride s of axis i in a C-ordered grid, and the mask over the cells
+    c < n_cells - s that is true where the pair (c, c + s) shares a face and
+    false where it wraps across the end of axis i."""
+    s = int(np.prod(shape[i + 1:]))
+    inner = np.ones(shape, dtype=bool)
+    inner[(slice(None),) * i + (-1,)] = False
+    return s, inner.ravel()[:-s]
 
 
 def build_grid(domain, h, density):

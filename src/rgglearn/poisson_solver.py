@@ -65,26 +65,36 @@ def assemble_source(g, s):
     return GraphFunction(g, f * g.n)
 
 
-def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
+def _pcg(matvec, b, tol_check, x0=None, precond=None, project=None, maxiter=1000):
     """Preconditioned CG with optional iterate projection.
 
-    tol_check(r) decides convergence; the recurrence residual is confirmed
-    against a freshly computed one before returning.  When the recurrence
-    residual passes but the fresh one fails, CG restarts from the fresh one;
-    if that residual is not below half of the previous restart's, the
-    tolerance is out of reach in floating point and RuntimeError is raised
-    at once.  A restart after a non-positive curvature p.Ap counts toward
-    maxiter but not toward the returned iteration count.
+    precond(r, out) writes the preconditioned residual into out (None is
+    the identity) and project(x) maps x into the gauge in place; b and x0
+    are never written to.  tol_check(r) decides convergence; the recurrence
+    residual is confirmed against a freshly computed one before returning.
+    When the recurrence residual passes but the fresh one fails, CG
+    restarts from the fresh one; if that residual is not below half of the
+    previous restart's, the tolerance is out of reach in floating point and
+    RuntimeError is raised at once.  A restart after a non-positive
+    curvature p.Ap counts toward maxiter but not toward the returned
+    iteration count.
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if project is not None:
-        x = project(x)
+        project(x)
+    # work vectors, allocated once: every update below writes into them in
+    # the operation order of the textbook recurrence, so the iterates are
+    # bitwise those of x += alpha p, r -= alpha Ap, p = z + beta p
+    r = np.empty_like(x)
+    z = r if precond is None else np.empty_like(x)
+    p = np.empty_like(x)
+    step = np.empty_like(x)
     total = 0
     restarts = 0
     rnorm_prev = None
     passed = False  # the last inner pass ended with the recurrence residual passing
     while True:
-        r = b - matvec(x)
+        np.subtract(b, matvec(x), out=r)
         if tol_check(r):
             return x, total, float(np.linalg.norm(r))
         rnorm = float(np.linalg.norm(r))
@@ -97,8 +107,9 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
         if total + restarts >= maxiter:
             raise RuntimeError("CG did not converge within %d iterations (%d restarts)"
                                % (maxiter, restarts))
-        z = r * minv if minv is not None else r
-        p = z.copy()
+        if precond is not None:
+            precond(r, z)
+        np.copyto(p, z)
         rz = float(r @ z)
         while total + restarts < maxiter:
             Ap = matvec(p)
@@ -107,18 +118,26 @@ def _pcg(matvec, b, tol_check, x0=None, minv=None, project=None, maxiter=1000):
                 restarts += 1  # loss of positive-definiteness in finite precision
                 break
             alpha = rz / pAp
-            x += alpha * p
+            x += np.multiply(p, alpha, out=step)
             if project is not None:
-                x = project(x)
-            r -= alpha * Ap
+                project(x)
+            r -= np.multiply(Ap, alpha, out=step)
             total += 1
             if tol_check(r):
                 passed = True
                 break
-            z = r * minv if minv is not None else r
+            if precond is not None:
+                precond(r, z)
             rz_new = float(r @ z)
-            p = z + (rz_new / rz) * p
+            p *= rz_new / rz
+            p += z
             rz = rz_new
+
+
+def _jacobi(diag):
+    """Jacobi preconditioner z = r / diag as a precond(r, out) callable."""
+    minv = 1.0 / diag
+    return lambda r, out: np.multiply(r, minv, out=out)
 
 
 def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
@@ -129,13 +148,16 @@ def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
     iterates are projected onto the gauge weights @ x = 0 and CG stops when
     ||b - A x||_2 <= tol ||b||_2.  Returns (x, iterations, residual norm).
     """
-    minv = 1.0 / diag
+    precond = _jacobi(diag)
     del diag  # the caller's temporary: free it before the iteration starts
     bnorm = np.linalg.norm(b)
     wsum = weights.sum()
-    project = lambda v: v - (weights @ v) / wsum
+
+    def project(v):
+        v -= (weights @ v) / wsum
+
     check = lambda r: np.linalg.norm(r) <= tol * bnorm
-    return _pcg(matvec, b, check, x0=x0, minv=minv, project=project, maxiter=maxiter)
+    return _pcg(matvec, b, check, x0=x0, precond=precond, project=project, maxiter=maxiter)
 
 
 def solve_graph_poisson(g, s, tol=1e-10, x0=None):
@@ -227,7 +249,7 @@ def solve_laplace_learning(g, labels, tol=1e-9):
 
     check = lambda r: np.max(np.abs(r) / degU) <= tol
     x0 = np.full(U.size, vals.mean())
-    x, _, _ = _pcg(matvec, b, check, x0=x0, minv=1.0 / diagU, maxiter=10 * g.n)
+    x, _, _ = _pcg(matvec, b, check, x0=x0, precond=_jacobi(diagU), maxiter=10 * g.n)
     out[U] = x
     return GraphFunction(g, out)
 

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from rgglearn.continuum_ref import (GridFunction, build_grid, greens_function,
                                     interpolate_at, save_grid_solution,
@@ -54,6 +55,116 @@ def test_row_sums_and_symmetry():
     assert abs(au @ v - u @ av) < 1e-12 * max(1.0, abs(au @ v))
     # matrix assembly agrees with the stencil application
     assert np.max(np.abs(A @ u - au)) < 1e-12 * max(1.0, np.abs(au).max())
+
+
+def _sliced_faces(grid):
+    # the per-axis 2-D slicing stencil that the flat face vectors replaced,
+    # kept as the reference for bitwise equality
+    faces = []
+    for i in range(grid.d):
+        lo_sl = tuple(slice(0, -1) if j == i else slice(None) for j in range(grid.d))
+        hi_sl = tuple(slice(1, None) if j == i else slice(None) for j in range(grid.d))
+        a, b = grid.rho2[lo_sl], grid.rho2[hi_sl]
+        faces.append((2.0 * a * b / (a + b), lo_sl, hi_sl))
+    return faces
+
+
+def sliced_apply(grid, u):
+    out = np.zeros_like(u)
+    for a, lo_sl, hi_sl in _sliced_faces(grid):
+        flux = a * (u[lo_sl] - u[hi_sl])
+        out[lo_sl] += flux
+        out[hi_sl] -= flux
+    return out / grid.h**2
+
+
+def sliced_stencil_diagonal(grid):
+    diag = np.zeros(grid.shape)
+    for a, lo_sl, hi_sl in _sliced_faces(grid):
+        diag[lo_sl] += a
+        diag[hi_sl] += a
+    return diag / grid.h**2
+
+
+def sliced_operator_matrix(grid):
+    idx = np.arange(grid.n_cells).reshape(grid.shape)
+    rows, cols, vals = [], [], []
+    for a, lo_sl, hi_sl in _sliced_faces(grid):
+        lo_i, hi_i = idx[lo_sl].ravel(), idx[hi_sl].ravel()
+        af = a.ravel() / grid.h**2
+        rows.extend([lo_i, hi_i, lo_i, hi_i])
+        cols.extend([lo_i, hi_i, hi_i, lo_i])
+        vals.extend([af, af, -af, -af])
+    mat = sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(grid.n_cells, grid.n_cells))
+    return mat.tocsr()
+
+
+@pytest.mark.parametrize("density", ["constant", "affine", "bump"])
+@pytest.mark.parametrize("shape", [(7,), (5, 9), (3, 4, 6)])
+def test_flat_stencil_is_bitwise_the_sliced_stencil(shape, density):
+    h = 0.1
+    box = Box([0.0] * len(shape), [m * h for m in shape])
+    grid = build_grid(box, h, make_density(density, box))
+    assert grid.shape == shape
+    rng = np.random.default_rng(len(shape))
+    u = rng.normal(size=shape)
+    u[rng.random(shape) < 0.25] = 0.0
+    u[rng.random(shape) < 0.25] = -0.0
+    signed_zeros = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+    for v in (u, -u, signed_zeros, -signed_zeros, np.ones(shape)):
+        before = v.tobytes()
+        out = grid.apply(v)
+        assert out.shape == shape and not np.shares_memory(out, v)
+        assert out.tobytes() == sliced_apply(grid, v).tobytes()
+        assert v.tobytes() == before
+    assert grid.stencil_diagonal().tobytes() == sliced_stencil_diagonal(grid).tobytes()
+    A, B = grid.operator_matrix(), sliced_operator_matrix(grid)
+    for attr in ("data", "indices", "indptr"):
+        assert getattr(A, attr).tobytes() == getattr(B, attr).tobytes()
+
+
+@pytest.mark.parametrize("lo, up, h, density, calls", [
+    ([0, 0], [1, 1], 1 / 32, "bump", 153),
+    ([0], [1], 1 / 64, "affine", 65),
+], ids=["32x32-bump", "d1-affine"])
+def test_apply_calls_per_solve_are_pinned(lo, up, h, density, calls):
+    # perfbench's traced reference-fd check compares the apply calls per
+    # solve exactly; a change that moves a single CG iterate shifts these
+    # counts and fails here first
+    box = Box(lo, up)
+    grid = build_grid(box, h, make_density(density, box))
+    counted = []
+    apply = grid.apply
+    grid.apply = lambda u: counted.append(1) or apply(u)
+    d = len(lo)
+    s = SourceSpec([[0.3] * d, [0.7] + [0.4] * (d - 1)], [1.0, -1.0])
+    solve_weighted_poisson(grid, s)
+    assert len(counted) == calls
+
+
+def test_solves_leave_inputs_untouched():
+    box = Box([0, 0], [1, 1])
+    grid = build_grid(box, 1.0 / 16, make_density("affine", box))
+    rng = np.random.default_rng(3)
+    f = rng.normal(size=grid.shape)
+    f -= f.mean()
+    rhs = GridFunction(grid, f)
+    probe = rng.normal(size=grid.shape)
+
+    def snapshot():
+        return [a.tobytes() for a in (rhs.values, grid.rho2, grid.rho,
+                                      grid.stencil_diagonal(), grid.apply(probe))]
+
+    state = snapshot()
+    u = solve_weighted_poisson(grid, rhs)
+    assert not np.shares_memory(u.values, rhs.values)
+    y = np.array([0.4, 0.6])
+    G = greens_function(grid, y)
+    assert not np.shares_memory(G.values, u.values)
+    assert y.tobytes() == np.array([0.4, 0.6]).tobytes()
+    assert snapshot() == state
 
 
 def test_zero_source():
