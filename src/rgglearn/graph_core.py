@@ -20,6 +20,7 @@ either way, and no matrix is stored twice.
 """
 
 import enum
+import math
 import os
 import threading
 
@@ -35,6 +36,16 @@ from scipy.sparse import csgraph
 # (10.2 -> 5.7 ms); on another 2-vCPU VM the split already won at 85k
 # (0.28 -> 0.21 ms) and lost at 57k (0.16 -> 0.19 ms).
 _SPLIT_MIN_NNZ = 100_000
+
+# Graph.__init__ first looks for connectivity in the spanning subgraph made of
+# the first _SPAN_PER_ROW stored entries of each row; only when that subgraph
+# is disconnected does it search the whole graph, which needs a transposed
+# copy of the upper triangle (12 bytes per stored entry).
+_SPAN_PER_ROW = 8
+
+# Graph._cell_aggregates sums the edge weights in blocks of at least this many
+# stored entries, so its temporaries stay bounded whatever nnz is.
+_AGGREGATE_BLOCK_NNZ = 1 << 18
 
 _worker_lock = threading.Lock()
 _worker = None  # (pid, ThreadPoolExecutor) of the process that created it
@@ -80,6 +91,31 @@ def _run_pair(first, second, nnz):
     finally:
         b = future.result()
     return a, b
+
+
+def _components(upper):
+    """(count, labels) of the connected components of an upper-triangular CSR.
+
+    Only positive weights count as edges.  A connected spanning subgraph
+    means a connected graph, whose labels are all 0, so the first
+    _SPAN_PER_ROW stored entries of each row are searched first and the
+    whole matrix only when they leave the graph disconnected; the labels
+    are exact either way.
+    """
+    indptr = upper.indptr
+    count = np.minimum(np.diff(indptr), _SPAN_PER_ROW)
+    span_ptr = np.concatenate(([0], np.cumsum(count)))
+    take = np.repeat(indptr[:-1] - span_ptr[:-1], count) + np.arange(span_ptr[-1])
+    span = sparse.csr_matrix((upper.data[take], upper.indices[take], span_ptr),
+                             shape=upper.shape)
+    span.eliminate_zeros()
+    ncomp, labels = csgraph.connected_components(span, directed=False)
+    if ncomp > 1:
+        if not upper.data.all():
+            upper = upper.copy()
+            upper.eliminate_zeros()
+        ncomp, labels = csgraph.connected_components(upper, directed=False)
+    return ncomp, labels
 
 
 class LaplacianKind(enum.Enum):
@@ -147,7 +183,7 @@ class Graph:
         self.degrees = self.wmul(np.ones(n))
         if not np.all(np.isfinite(self.degrees)):
             raise ValueError("non-finite degree (edge weights overflow)")
-        ncomp, self._components = csgraph.connected_components(self._upper, directed=False)
+        ncomp, self._components = _components(self._upper)
         self.connected = bool(ncomp == 1)
 
     @classmethod
@@ -233,8 +269,55 @@ class Graph:
         return i[order], j[order], w[order]
 
     def component_labels(self):
-        """Connected-component label per node."""
+        """Connected-component label per node; zero-weight edges connect nothing."""
         return self._components.copy()
+
+    def _cell_aggregates(self, nodes):
+        """Cells of side about eps as aggregates of some nodes, and the weights between them.
+
+        The cells tile the bounding box of all points, and each non-empty
+        cell that holds one of `nodes` is an aggregate.  Their side starts
+        at eps and doubles while there are more than sqrt(nnz) aggregates,
+        with nnz the number of stored edges, so the dense (m, m) result is
+        never larger than the graph whatever eps is (it need not be a
+        bandwidth for from_weights or load_graph graphs).
+
+        Returns (agg, M): agg[k] in 0..m-1 is the aggregate of nodes[k], and
+        M[a, b] sums the stored weights w_ij, i < j, over the edges with i in
+        aggregate a and j in aggregate b.  Edges that touch a node outside
+        `nodes` are left out.
+        """
+        upper = self._upper
+        cap = max(1.0, math.sqrt(upper.nnz))
+        lo = self.points.min(axis=0)
+        extent = float(np.max(self.points.max(axis=0) - lo))
+        side = max(extent / cap, self.eps) or 1.0
+        cells = np.floor((self.points[nodes] - lo) / side).astype(np.int64)
+        while True:
+            # number the non-empty cells in lexicographic order, one axis at
+            # a time so that the key stays below len(nodes) * (cap + 2)
+            agg = np.zeros(len(cells), dtype=np.int64)
+            for col in cells.T:
+                _, agg = np.unique(agg * (col.max() + 1) + col, return_inverse=True)
+            m = int(agg.max()) + 1
+            if m <= cap:
+                break
+            cells //= 2
+        # nodes outside `nodes` go to a dummy aggregate m, dropped at the end
+        full = np.full(self.n, m, dtype=np.int64)
+        full[nodes] = agg
+        # each block's bincount spans (m+1)^2 bins, so a block holds at
+        # least that many entries and the total work stays O(nnz + m^2)
+        block = max(_AGGREGATE_BLOCK_NNZ, (m + 1) ** 2)
+        indptr = upper.indptr
+        rows = np.unique(np.concatenate(
+            ([0], np.searchsorted(indptr, np.arange(block, upper.nnz, block)), [self.n])))
+        M = np.zeros((m + 1) ** 2)
+        for a, b in zip(rows[:-1], rows[1:]):
+            key = np.repeat(full[a:b] * (m + 1), np.diff(indptr[a:b + 1]))
+            key += full[upper.indices[indptr[a]:indptr[b]]]
+            M += np.bincount(key, upper.data[indptr[a]:indptr[b]], minlength=(m + 1) ** 2)
+        return agg, M.reshape(m + 1, m + 1)[:m, :m]
 
     def func(self, values):
         return GraphFunction(self, values)

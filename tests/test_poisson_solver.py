@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve
 
 from rgglearn.continuum_ref import build_grid
-from rgglearn.geometry import Box, build_graph, make_density, make_kernel, sample_points
-from rgglearn import graph_core
+from rgglearn.geometry import (
+    Box,
+    build_graph,
+    closest_point,
+    make_density,
+    make_kernel,
+    sample_points,
+)
+from rgglearn import graph_core, poisson_solver
 from rgglearn.graph_core import (
     Graph,
     GraphFunction,
@@ -415,3 +424,109 @@ def test_property_pcg_matches_pseudoinverse(n, seed, eps, pair):
     uo -= g.degrees @ uo / g.degrees.sum()  # degree-weighted gauge
     assert np.max(np.abs(u.values - uo)) <= 1e-6 * np.max(np.abs(uo))
     assert abs(weighted_mean(u)) <= 1e-12 * np.max(np.abs(uo))
+
+
+def _count_wmul(g):
+    calls = []
+    wmul = g.wmul
+    g.wmul = lambda u: calls.append(1) or wmul(u)
+    return calls
+
+
+def test_laplace_learning_wmul_calls_are_pinned():
+    # exact CG work of the two-level preconditioned Laplace solve on one
+    # fixed graph; Jacobi alone took 35 calls here
+    g = small_geometric_graph(n=300, eps=0.2, seed=4)
+    calls = _count_wmul(g)
+    solve_laplace_learning(g, [(10, 1.0), (200, -1.0)])
+    assert len(calls) == 23
+
+
+def _recorded_iterations(monkeypatch):
+    iters = []
+
+    def recording(*args, **kwargs):
+        out = pcg(*args, **kwargs)
+        iters.append(out[1])
+        return out
+
+    pcg = poisson_solver._pcg
+    monkeypatch.setattr(poisson_solver, "_pcg", recording)
+    return iters
+
+
+@pytest.mark.parametrize("d,n,eps", [(1, 2000, 0.02), (1, 20000, 0.005), (2, 2000, 0.15),
+                                     (2, 20000, 0.04)])
+def test_laplace_learning_iterations_stay_low(monkeypatch, d, n, eps):
+    # the eps-cell coarse space keeps CG near 20 iterations where Jacobi
+    # alone needs 96, 361, 54 and 194
+    box = Box([0.0] * d, [1.0] * d)
+    g = build_graph(sample_points(box, make_density("constant", box), n, seed=1), eps,
+                    make_kernel("cone", d), seed=1)
+    labels = [(closest_point([0.3] + [0.5] * (d - 1), g), 1.0),
+              (closest_point([0.7] + [0.5] * (d - 1), g), -1.0)]
+    iters = _recorded_iterations(monkeypatch)
+    solve_laplace_learning(g, labels)
+    assert 0 < iters[0] <= 30
+
+
+def _dirichlet_reference(g, labels):
+    # spsolve on L_UU, and the bound that the solver's stopping test gives:
+    # |r / deg| <= tol on U implies |u - ref| <= tol (L_UU^-1 deg_U), since
+    # L_UU is an M-matrix and its inverse is entrywise nonnegative
+    idx = np.array([i for i, _ in labels])
+    vals = np.array([v for _, v in labels])
+    U = np.setdiff1d(np.arange(g.n), idx)
+    L = (sparse.diags(g.degrees) - g.weight_matrix()).tocsr()
+    LUU = L[U][:, U].tocsc()
+    ref = np.zeros(g.n)
+    ref[idx] = vals
+    ref[U] = spsolve(LUU, -(L[U][:, idx] @ vals))
+    return ref, U, spsolve(LUU, g.degrees[U])
+
+
+@pytest.mark.parametrize("reweight", [False, True], ids=["plain", "reweighted"])
+def test_laplace_learning_matches_the_direct_solve(reweight):
+    g = small_geometric_graph(n=600, eps=0.15, seed=7)
+    labels = [(3, 1.0), (300, -1.0), (450, 0.25)]
+    if reweight:
+        g = g.reweighted(pwll_gamma(g, [3, 300, 450]).values)
+    tol = 1e-9
+    ref, U, gain = _dirichlet_reference(g, labels)
+    u = solve_laplace_learning(g, labels, tol=tol).values
+    assert np.all(np.abs(u - ref)[U] <= tol * gain)
+    assert np.array_equal(u[[3, 300, 450]], [1.0, -1.0, 0.25])
+
+
+def test_laplace_learning_on_a_from_weights_graph_with_tiny_eps():
+    # eps is no bandwidth here, so the cells come from the sqrt(nnz) cap
+    rng = np.random.default_rng(8)
+    pts = rng.random((300, 2))
+    W = np.exp(-40 * ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(-1))
+    W[W < 0.02] = 0.0
+    np.fill_diagonal(W, 0.0)
+    g = Graph.from_weights(pts, W, 1e-12, sigma_eta=1.0)
+    labels = [(0, 1.0), (150, -1.0)]
+    ref, U, gain = _dirichlet_reference(g, labels)
+    u = solve_laplace_learning(g, labels, tol=1e-10).values
+    assert np.all(np.abs(u - ref)[U] <= 1e-10 * gain)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda g: solve_graph_poisson(g, SourceSpec([g.points[10], g.points[200]], [1.0, -1.0])),
+    lambda g: solve_laplace_learning(g, [(10, 1.0), (200, -1.0)]),
+], ids=["solve_graph_poisson", "solve_laplace_learning"])
+def test_zero_weight_node_is_rejected_before_any_matvec(solve):
+    # reweighting by a zero factor isolates node 5 behind stored zero
+    # weights; counted as edges, they hid it and both solves ran 10 n = 4000
+    # iterations before "CG did not converge"
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    g = build_graph(sample_points(box, make_density("constant", box), 400, seed=3), 0.2,
+                    make_kernel("cone", 2))
+    f = np.ones(g.n)
+    f[5] = 0.0
+    g = g.reweighted(f)
+    calls = _count_wmul(g)
+    with pytest.raises(ValueError, match="disconnected|no labeled node"):
+        solve(g)
+    assert calls == []
