@@ -23,15 +23,14 @@ from .experiments import RUNNERS, ExperimentConfig
 
 
 def _build_domain(args):
-    if args.domain == "box":
-        vals = [float(v) for v in args.box]
-        if len(vals) % 2 != 0:
-            raise SystemExit("--box needs an even number of bounds (lower then upper)")
-        d = len(vals) // 2
-        return Box(vals[:d], vals[d:])
+    # argparse's choices admit only "box", and "disk" for `sample`
     if args.domain == "disk":
         return Disk([float(v) for v in args.center], args.radius)
-    raise SystemExit("unknown domain %r" % args.domain)
+    vals = [float(v) for v in args.box]
+    if len(vals) % 2 != 0:
+        raise SystemExit("--box needs an even number of bounds (lower then upper)")
+    d = len(vals) // 2
+    return Box(vals[:d], vals[d:])
 
 
 def _load_sources(path, domain=None):
@@ -99,8 +98,6 @@ def _cmd_psi(args):
 
 
 def _cmd_continuum(args):
-    if args.domain != "box":
-        raise SystemExit("the reference solver supports box domains only")
     domain = _build_domain(args)
     density = make_density(args.density, domain, slope=args.slope)
     grid = build_grid(domain, args.h, density)
@@ -182,10 +179,8 @@ def main(argv=None):
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("continuum", help="weighted Neumann Poisson reference solve")
-    p.add_argument("--domain", default="box")
+    p.add_argument("--domain", default="box", choices=("box",))
     p.add_argument("--box", nargs="+", default=["0", "0", "1", "1"])
-    p.add_argument("--center", nargs="+", default=["0", "0"])
-    p.add_argument("--radius", type=float, default=1.0)
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--density", default="constant")
     p.add_argument("--slope", type=float, default=0.8)

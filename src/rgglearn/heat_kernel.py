@@ -22,6 +22,7 @@ support.
 """
 
 import numpy as np
+from scipy.fft import irfftn, next_fast_len, rfftn
 from scipy.integrate import simpson
 from scipy.special import gammaln, j0
 
@@ -30,6 +31,14 @@ from .graph_core import GraphFunction, LaplacianKind, laplacian_apply
 from .poisson_solver import assemble_source
 
 MAX_HEAT_STEPS = 10**6
+
+
+def _step_count(k, lo=0):
+    """int(k); ValueError unless k is a whole number in [lo, MAX_HEAT_STEPS]."""
+    if not (lo <= k <= MAX_HEAT_STEPS and k == int(k)):
+        raise ValueError("step count k must be a whole number in [%d, %d], got %r"
+                         % (lo, MAX_HEAT_STEPS, k))
+    return int(k)
 
 
 class HeatColumn:
@@ -97,7 +106,7 @@ def _walk_power(g, step, v, k):
 
 def _propagate(g, v, steps):
     deg = g.degrees
-    v = _walk_power(g, lambda x: g.wmul(x / deg), v, int(steps))
+    v = _walk_power(g, lambda x: g.wmul(x / deg), v, steps)
     if not np.all(np.isfinite(v)):
         raise RuntimeError("heat propagation produced non-finite values")
     return v
@@ -129,8 +138,7 @@ def heat_column(g, x, k):
     -------
     HeatColumn
     """
-    if k < 0 or k > MAX_HEAT_STEPS:
-        raise ValueError("step count k out of range")
+    k = _step_count(k)
     if np.any(g.degrees == 0):
         raise ValueError("zero-degree node; random-walk propagation undefined")
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
@@ -170,13 +178,12 @@ def heat_convolve(g, k, u):
     2^-53 / sqrt(n max deg / min deg), with max-norm error at most
     2^-53 ||u||_inf.
     """
-    if k < 0 or k > MAX_HEAT_STEPS:
-        raise ValueError("step count k out of range")
+    k = _step_count(k)
     deg = g.degrees
     if np.any(deg == 0):
         raise ValueError("zero-degree node; random-walk propagation undefined")
     v = np.array(u.values if isinstance(u, GraphFunction) else u, dtype=float)
-    v = _walk_power(g, lambda x: g.wmul(x) / deg, v, int(k))
+    v = _walk_power(g, lambda x: g.wmul(x) / deg, v, k)
     if not np.all(np.isfinite(v)):
         raise RuntimeError("heat convolution produced non-finite values")
     return GraphFunction(g, v)
@@ -191,6 +198,7 @@ def smooth_poisson(g, u, s, k):
     f_k = sum_x a_x H_k^{tau(x)}, which satisfy L u_k = f_k with the
     geometric-scaled Laplacian and (u_k)_deg = (u)_deg.
     """
+    k = _step_count(k)
     f = assemble_source(g, s)
     lu = laplacian_apply(u, LaplacianKind.GeometricScaled).values
     fnorm = np.linalg.norm(f.values)
@@ -198,7 +206,7 @@ def smooth_poisson(g, u, s, k):
         raise ValueError("u does not solve the graph Poisson problem for s")
     uk = heat_convolve(g, k, u)
     # f_k = P^k f with P = W D^{-1}, identical to summing columns H_k^{tau(x)}
-    fk = _propagate(g, f.values.copy(), int(k))
+    fk = _propagate(g, f.values.copy(), k)
     return uk, GraphFunction(g, fk)
 
 
@@ -222,6 +230,8 @@ def rho_hat(density, domain, kernel, eps, x):
     -------
     float
     """
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
     x = np.asarray(x, dtype=float)
     if not domain.contains(x):
         raise ValueError("x is outside the domain")
@@ -347,7 +357,7 @@ class GridField:
             ax = self.axes[i]
             t = (pts[:, i] - ax[0]) / self.h
             t = np.clip(t, 0.0, ax.size - 1.0)
-            i0 = np.minimum(t.astype(np.int64), ax.size - 2) if ax.size > 1 else np.zeros(pts.shape[0], dtype=np.int64)
+            i0 = np.minimum(t.astype(np.int64), ax.size - 2)
             idx.append(i0)
             frac.append(t - i0)
         out = np.zeros(pts.shape[0])
@@ -356,13 +366,8 @@ class GridField:
             loc = []
             for i in range(d):
                 bit = (corner >> i) & 1
-                if self.axes[i].size > 1:
-                    loc.append(idx[i] + bit)
-                    wgt = wgt * (frac[i] if bit else (1.0 - frac[i]))
-                else:
-                    loc.append(idx[i])
-                    if bit:
-                        wgt = wgt * 0.0
+                loc.append(idx[i] + bit)
+                wgt = wgt * (frac[i] if bit else (1.0 - frac[i]))
             out += wgt * self.values[tuple(loc)]
         return out
 
@@ -419,6 +424,7 @@ def repeated_average(density, domain, kernel, eps, x0, k, h):
     """
     from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
 
+    k = _step_count(k)
     x0 = np.asarray(x0, dtype=float)
     if h > eps / 8 + 1e-12:
         raise ValueError("grid too coarse: h must be <= eps/8")
@@ -438,7 +444,7 @@ def repeated_average(density, domain, kernel, eps, x0, k, h):
     # initial field: cell-averaged eta_eps centered at x0
     phi = np.where(inside, _cell_average(kernel, eps, axes, x0, h, 4), 0.0)
 
-    for _ in range(int(k)):
+    for _ in range(k):
         phi = conv(c * phi)
         phi = np.where(inside, phi, 0.0)
     return GridField(axes, phi, h)
@@ -492,34 +498,30 @@ class RadialKernelTable:
 
 
 def _psi_grid(kernel, d, k):
-    """psi_k at eps = 1 by binary-exponentiation grid self-convolution."""
-    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
-
+    """psi_k at eps = 1 as the k-th Fourier power of the cell-averaged kernel
+    on a periodic grid of half-period nb + m cells (see `psi_table`)."""
     # resolution: resolve the base kernel well and keep the final grid small
     h = min(1.0 / 128, np.sqrt(k) / 256) if d == 2 else min(1.0 / 1024, np.sqrt(k) / 4096)
     base = _cell_average_axes(kernel, 1.0, h, d, sub=8)
-    # renormalize the discrete mass exactly; the cell-average is already
-    # within O(h^2) so this is a tiny correction
-    base = base / (base.sum() * h**d)
-    result = None
-    power = base
-    kk = int(k)
-    while kk:
-        if kk & 1:
-            result = power if result is None else fftconvolve(result, power) * h**d
-        kk >>= 1
-        if kk:
-            power = fftconvolve(power, power) * h**d
+    # unit sum before the power: an h^d-scaled spectrum would overflow at DC
+    base = base / base.sum()
+    m = (base.shape[0] - 1) // 2
+    # beyond nb h the Gaussian tail of psi_k holds mass below 1e-16, so the
+    # wrap-around stays at rounding level
+    nb = int(np.ceil(min(k, 8.5 * np.sqrt(k / (d + 2))) / h))
+    size = next_fast_len(2 * (nb + m) + 1, real=True)
+    grid = np.zeros((size,) * d)
+    grid[np.ix_(*[np.arange(-m, m + 1) % size] * d)] = base
+    spec = rfftn(grid)
+    spec **= k
+    psi = irfftn(spec, grid.shape, overwrite_x=True) / h**d
+    del grid, spec  # room for the radial pass
     # radial profile by annulus averaging (kills the O(h^2) lattice anisotropy)
-    mgrid = (np.array(result.shape) - 1) // 2
-    axes = [(np.arange(s) - mm) * h for s, mm in zip(result.shape, mgrid)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    offset = ((np.arange(size) + size // 2) % size - size // 2) * h
+    mesh = np.meshgrid(*[offset] * d, indexing="ij", sparse=True)
     rr = np.sqrt(sum(gg**2 for gg in mesh)).ravel()
-    vals = result.ravel()
-    rmax = float(k)
-    nb = int(np.ceil(rmax / h))
     keep = rr <= (nb + 1) * h
-    rr, vals = rr[keep], vals[keep]
+    rr, vals = rr[keep], psi.ravel()[keep]
     bins = np.minimum(np.floor(rr / h + 1e-9).astype(np.int64), nb)
     sums = np.bincount(bins, weights=vals, minlength=nb + 1)
     rsum = np.bincount(bins, weights=rr, minlength=nb + 1)
@@ -589,12 +591,13 @@ def _psi_fourier(kernel, d, k, tail_tol=1e-14, s_cap=300.0):
     return r, out
 
 
-def psi_table(kernel, d, k, eps, method="auto"):
+def psi_table(kernel, d, k, eps):
     """Repeated self-convolution table
     ======
 
-    Builds psi_k at eps = 1 (grid self-convolution for d <= 2, radial
-    Fourier representation for d = 3) and rescales to
+    Builds psi_k at eps = 1 (one Fourier power on a periodic grid for
+    d <= 2, ending at min(k, 8.5 sqrt(k / (d + 2))); the radial Fourier
+    representation for d = 3) and rescales to
     psi_{k,eps}(x) = eps^{-d} psi_k(x/eps).
 
     Parameters
@@ -602,8 +605,7 @@ def psi_table(kernel, d, k, eps, method="auto"):
     kernel : KernelProfile
     d : int in {1,2,3}
     k : int >= 1
-    eps : float
-    method : 'auto', 'grid-convolution', or 'radial-fourier'
+    eps : float > 0
 
     Returns
     -------
@@ -611,27 +613,23 @@ def psi_table(kernel, d, k, eps, method="auto"):
     """
     if d not in (1, 2, 3):
         raise ValueError("unsupported dimension %r" % (d,))
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _step_count(k, 1)
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
     if kernel.d != d:
         raise ValueError("kernel dimension mismatch")
-    if method == "auto":
-        method = "grid-convolution" if d <= 2 else "radial-fourier"
+    method = "grid-convolution" if d <= 2 else "radial-fourier"
     if k == 1:
         # empty convolution product: eta_eps itself
         r = np.linspace(0.0, 1.0, 4097)
         return RadialKernelTable(r * eps, kernel.eta(r) * eps ** (-d), d, k, eps, method)
-    if method == "grid-convolution":
-        if d == 3:
-            raise ValueError("grid convolution is memory-prohibitive in d=3")
+    if d <= 2:
         r, vals = _psi_grid(kernel, d, k)
         # the discrete grid mass is exactly one; renormalize the radial view
         # so its own quadrature agrees (a relative adjustment of order h^2)
         vals = vals / (d * BALL_VOLUME[d] * _radial_moment(r, vals, d))
-    elif method == "radial-fourier":
-        r, vals = _psi_fourier(kernel, d, k)
     else:
-        raise ValueError("unknown method %r" % (method,))
+        r, vals = _psi_fourier(kernel, d, k)
     return RadialKernelTable(r * eps, vals * eps ** (-d), d, k, eps, method)
 
 
@@ -663,9 +661,7 @@ def scale_constants(d, k, eps):
     0 < eps <= 1/2 and eps_k = eps sqrt(k) <= 1."""
     if d not in (1, 2, 3):
         raise ValueError("unsupported dimension %r" % (d,))
-    k = int(k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = _step_count(k, 1)
     if not 0 < eps <= 0.5:
         raise ValueError("eps must satisfy 0 < eps <= 1/2")
     if eps * np.sqrt(k) > 1.0 + 1e-12:

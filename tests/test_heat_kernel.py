@@ -11,8 +11,9 @@ from scipy.integrate import simpson
 from rgglearn.geometry import Box, Disk, make_kernel, make_density, sample_points, build_graph
 from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, weighted_mean)
-from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _chebyshev_coefficients,
-                                  _exit_crossings,
+from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _cell_average_axes,
+                                  _chebyshev_coefficients, _exit_crossings,
+                                  _psi_fourier, _psi_grid,
                                   heat_column, heat_convolve, psi_table,
                                   repeated_average, rho_hat, scale_constants,
                                   smooth_poisson)
@@ -192,6 +193,30 @@ def test_mean_value_property_identity():
     assert np.max(np.abs(u.values - acc)) < 1e-12
 
 
+def test_heat_column_rejects_fractional_step_count():
+    g = small_graph()
+    for k in (1.9, 2.5, np.nan, np.inf, MAX_HEAT_STEPS + 1):
+        with pytest.raises(ValueError, match="step count"):
+            heat_column(g, 3, k)
+    with pytest.raises(ValueError, match="step count"):
+        heat_column(g, np.array([0.5, 0.5]), 2.5)
+    # a whole-valued float is a step count
+    assert heat_column(g, 3, 2.0).k == 2
+    assert np.array_equal(heat_column(g, 3, 2.0).values.values,
+                          heat_column(g, 3, 2).values.values)
+
+
+def test_heat_convolve_rejects_fractional_step_count():
+    g = small_graph()
+    u = np.sin(np.arange(g.n))
+    for k in (2.5, -1, np.nan, np.inf, MAX_HEAT_STEPS + 1):
+        with pytest.raises(ValueError, match="step count"):
+            heat_convolve(g, k, u)
+    g, s, u = poisson_setup()
+    with pytest.raises(ValueError, match="step count"):
+        smooth_poisson(g, u, s, 2.5)
+
+
 def test_scale_constants_pins():
     assert abs(scale_constants(1, 4, 0.25).Theta_dk - 2.0) < 1e-12
     assert abs(scale_constants(2, 3, 0.25).Theta_dk - np.log(4.0)) < 1e-12
@@ -212,6 +237,8 @@ def test_scale_constants_validation():
         scale_constants(2, 200, 0.1)
     with pytest.raises(ValueError):
         scale_constants(2, 0, 0.1)
+    with pytest.raises(ValueError, match="step count"):
+        scale_constants(2, 2.7, 0.1)
     with pytest.raises(ValueError):
         scale_constants(4, 3, 0.1)
 
@@ -284,15 +311,68 @@ def test_psi_unit_mass_fourier_route():
 
 def test_psi_route_cross_validation():
     ker = make_kernel("indicator", 2)
-    tf = psi_table(ker, 2, 4, 1.0, method="radial-fourier")
-    tg = psi_table(ker, 2, 4, 1.0, method="grid-convolution")
+    rf, vf = _psi_fourier(ker, 2, 4)
+    tg = psi_table(ker, 2, 4, 1.0)
     r = np.linspace(0, 3.8, 300)
-    assert np.max(np.abs(tf.evaluate(r) - tg.evaluate(r))) < 1e-4
+    assert np.max(np.abs(np.interp(r, rf, vf, right=0.0) - tg.evaluate(r))) < 1e-4
     kerc = make_kernel("cone", 1)
-    tf = psi_table(kerc, 1, 4, 1.0, method="radial-fourier")
-    tg = psi_table(kerc, 1, 4, 1.0, method="grid-convolution")
+    rf, vf = _psi_fourier(kerc, 1, 4)
+    tg = psi_table(kerc, 1, 4, 1.0)
     r = np.linspace(0, 3.8, 300)
-    assert np.max(np.abs(tf.evaluate(r) - tg.evaluate(r))) < 1e-5
+    assert np.max(np.abs(np.interp(r, rf, vf, right=0.0) - tg.evaluate(r))) < 1e-5
+
+
+def ladder_psi_grid(kernel, d, k):
+    """psi_k by the binary-exponentiation fftconvolve ladder on a grid that
+    covers the full support: `_psi_grid` before it became one Fourier power,
+    kept as its reference."""
+    from scipy.signal import fftconvolve
+
+    h = min(1.0 / 128, np.sqrt(k) / 256) if d == 2 else min(1.0 / 1024, np.sqrt(k) / 4096)
+    base = _cell_average_axes(kernel, 1.0, h, d, sub=8)
+    base = base / (base.sum() * h**d)
+    result, power, kk = None, base, k
+    while kk:
+        if kk & 1:
+            result = power if result is None else fftconvolve(result, power) * h**d
+        kk >>= 1
+        if kk:
+            power = fftconvolve(power, power) * h**d
+    mgrid = (np.array(result.shape) - 1) // 2
+    axes = [(np.arange(s) - mm) * h for s, mm in zip(result.shape, mgrid)]
+    rr = np.sqrt(sum(gg**2 for gg in np.meshgrid(*axes, indexing="ij"))).ravel()
+    vals = result.ravel()
+    nb = int(np.ceil(k / h))
+    keep = rr <= (nb + 1) * h
+    rr, vals = rr[keep], vals[keep]
+    bins = np.minimum(np.floor(rr / h + 1e-9).astype(np.int64), nb)
+    sums = np.bincount(bins, weights=vals, minlength=nb + 1)
+    rsum = np.bincount(bins, weights=rr, minlength=nb + 1)
+    cnts = np.bincount(bins, minlength=nb + 1)
+    full = cnts > 0
+    return rsum[full] / cnts[full], sums[full] / cnts[full]
+
+
+@pytest.mark.parametrize("d, variant, k", [
+    (1, "indicator", 2), (1, "indicator", 8), (1, "indicator", 64), (1, "indicator", 619),
+    (1, "cone", 2), (1, "cone", 8), (1, "cone", 64), (1, "cone", 619),
+    (2, "cone", 2), (2, "cone", 4), (2, "cone", 8)])
+def test_psi_grid_matches_convolution_ladder(d, variant, k):
+    # one Fourier power on a periodic grid against the ladder; for k = 64
+    # and 619 the new table ends at R < k, where the ladder's values are
+    # below 1e-16
+    ker = make_kernel(variant, d)
+    r_old, v_old = ladder_psi_grid(ker, d, k)
+    r_new, v_new = _psi_grid(ker, d, k)
+    # the last annulus is [nb h, (nb + 1) h] with h <= 1/128
+    assert r_new[-1] <= min(k, 8.5 * np.sqrt(k / (d + 2))) + 2.0 / 128
+    r = np.linspace(0.0, r_old[-1], 100001)
+    gap = np.abs(np.interp(r, r_old, v_old, right=0.0) - np.interp(r, r_new, v_new, right=0.0))
+    assert np.max(gap) < 1e-12
+    if k == 619:
+        tab = psi_table(ker, d, k, 1.0)
+        assert np.all(np.isfinite(tab.values))
+        assert abs(tab.mass() - 1.0) < 1e-12
 
 
 def test_psi_tail_bound():
@@ -323,9 +403,9 @@ def test_psi_gaussian_envelope_constant():
 
 def test_psi_fourier_insufficient_resolution():
     with pytest.raises(RuntimeError, match="insufficient quadrature resolution"):
-        psi_table(make_kernel("indicator", 2), 2, 2, 1.0, method="radial-fourier")
+        _psi_fourier(make_kernel("indicator", 2), 2, 2)
     with pytest.raises(RuntimeError, match="insufficient quadrature resolution"):
-        psi_table(make_kernel("indicator", 1), 1, 4, 1.0, method="radial-fourier")
+        _psi_fourier(make_kernel("indicator", 1), 1, 4)
 
 
 def test_psi_eps_rescaling():
@@ -345,10 +425,16 @@ def test_psi_argument_validation():
         psi_table(ker, 4, 2, 1.0)
     with pytest.raises(ValueError):
         psi_table(ker, 1, 2, 1.0)
-    with pytest.raises(ValueError):
-        psi_table(make_kernel("indicator", 3), 3, 2, 1.0, method="grid-convolution")
-    with pytest.raises(ValueError):
-        psi_table(ker, 2, 2, 1.0, method="mystery")
+
+
+def test_psi_rejects_fractional_step_count_and_bad_eps():
+    ker = make_kernel("cone", 1)
+    with pytest.raises(ValueError, match="step count"):
+        psi_table(ker, 1, 2.5, 1.0)
+    for eps in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            psi_table(ker, 1, 2, eps)
+    assert psi_table(ker, 1, 2.0, 1.0).k == 2
 
 
 def test_rho_hat_constant_density():
@@ -422,6 +508,15 @@ def test_rho_hat_other_domains():
     assert abs(rho_hat(r3, box3, k3, 0.15, [0.5, 0.5, 0.5]) - 1.0) < 1e-9
 
 
+def test_rho_hat_rejects_bad_eps():
+    box = Box([0, 0], [1, 1])
+    ker = make_kernel("indicator", 2)
+    rho = make_density("constant", box)
+    for eps in (-0.1, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            rho_hat(rho, box, ker, eps, [0.5, 0.5])
+
+
 def test_rho_hat_outside_domain():
     box = Box([0, 0], [1, 1])
     ker = make_kernel("indicator", 2)
@@ -482,6 +577,15 @@ def test_repeated_average_preconditions():
         repeated_average(rho, box, ker, 0.25, [0.1, 2.0], 2, 0.25 / 12)
 
 
+def test_repeated_average_rejects_fractional_step_count():
+    box = Box([0, 0], [1, 1])
+    ker = make_kernel("indicator", 2)
+    rho = make_density("constant", box)
+    for k in (2.5, -3):
+        with pytest.raises(ValueError, match="step count"):
+            repeated_average(rho, box, ker, 0.25, [0.5, 0.5], k, 0.25 / 8)
+
+
 def test_grid_field_sampling():
     axes = (np.array([0.5, 1.5, 2.5]), np.array([0.25, 1.25]))
     vals = np.fromfunction(lambda i, j: 2.0 * (0.5 + i) - 3.0 * (0.25 + j), (3, 2))
@@ -495,7 +599,7 @@ def test_grid_field_sampling():
 
 
 def test_import_defers_scipy_signal():
-    # scipy.signal is slow to import; only the grid convolutions need it
+    # scipy.signal is slow to import; only repeated_average needs it
     import rgglearn
 
     env = dict(os.environ)
