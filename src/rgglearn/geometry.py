@@ -19,7 +19,7 @@ import scipy.sparse as sparse
 from scipy.integrate import simpson
 from scipy.spatial import cKDTree
 
-from .graph_core import Graph, _write_columns
+from .graph_core import Graph, _Windows, _write_columns
 
 # unit-ball volumes omega_d for d = 1, 2, 3
 BALL_VOLUME = {1: 2.0, 2: np.pi, 3: 4.0 * np.pi / 3.0}
@@ -446,6 +446,46 @@ def _upper_triangle(points, eps, kernel):
     return w, j, indptr
 
 
+def _window_starts(xs, eps):
+    """Per sorted coordinate xs[p], the first q whose distance to it passes the edge test.
+
+    The test of _edge_weights, sqrt((x_q - x_p)^2) <= eps, is monotone in
+    x_q on either side of x_p, so the points that pass form one window of
+    the sorted list.  searchsorted at x_p - eps finds its start up to the
+    rounding of that subtraction; the start then moves over one run of
+    equal coordinates at a time until the point before it fails the test
+    and the point at it passes.
+    """
+    def passes(q):
+        diff = xs[q] - xs
+        return np.sqrt(diff * diff) <= eps
+
+    lo = np.searchsorted(xs, xs - eps, "left")
+    while True:
+        fail = ~passes(lo)
+        grow = (lo > 0) & passes(lo - 1)
+        if not (fail.any() or grow.any()):
+            return lo
+        lo[fail] = np.searchsorted(xs, xs[lo[fail]], "right")
+        lo[grow] = np.searchsorted(xs, xs[lo[grow] - 1], "left")
+
+
+def _windows(points, eps, kernel):
+    """The window form of the d = 1 indicator graph (see graph_core._Windows).
+
+    Sorted point p is joined to the sorted points in [lo[p], hi[p]), each
+    with the one weight eta_eps(0); the windows hold exactly the pairs that
+    _upper_triangle keeps, and its CSR is built from them only on demand.
+    """
+    order = np.argsort(points[:, 0], kind="stable")
+    xs = points[order, 0]
+    lo = _window_starts(xs, eps)
+    # the ends are the starts of the mirrored list -xs[::-1]; negation is exact
+    hi = xs.size - _window_starts(-xs[::-1], eps)[::-1]
+    c = kernel.eta_eps(np.zeros(1), eps)[0]
+    return _Windows(order, lo, hi, c, functools.partial(_upper_triangle, points, eps, kernel))
+
+
 def build_graph(points, eps, kernel, seed=None):
     """Build the eps-neighborhood geometric graph
     ======
@@ -462,12 +502,19 @@ def build_graph(points, eps, kernel, seed=None):
 
     The candidates are sorted once into canonical CSR order (rows, then
     columns ascending), so the Graph takes the arrays as they are.  Peak
-    memory over the caller's is about 29 bytes per candidate pair for every
-    kernel, 12 of which the returned graph keeps (peak RSS at d = 1,
+    memory over the caller's is about 29 bytes per candidate pair, 12 of
+    which the returned graph keeps (peak RSS at d = 1, cone kernel,
     n = 12211, 2.7M pairs).  The search result (16 bytes per pair) is cut
     to an int64 sort key and then to int32 endpoints; distances and weights
     are computed in blocks of 65536 pairs, so their temporaries do not
     grow with the graph.
+
+    In d = 1 with the indicator kernel every edge has the weight
+    eta_eps(0), and the edges of a point are a window of the sorted
+    points.  There the graph keeps the sort order and each window's ends,
+    found by ``searchsorted`` and moved to pass the same exact test, in
+    O(n) memory whatever the edge count; ``Graph.wmul`` applies W from
+    them, and the CSR above is built only when something reads it.
 
     Parameters
     ----------
@@ -488,14 +535,19 @@ def build_graph(points, eps, kernel, seed=None):
     n, d = points.shape
     if d != kernel.d:
         raise ValueError("kernel dimension %d does not match points (%d)" % (kernel.d, d))
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not np.all(np.isfinite(points)):
+        raise ValueError("non-finite point coordinate")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     # slack of a few ulps: eps = n**(-1/d) can round n * eps**d to just below 1
     if n * eps**d < 1.0 - 1e-12:
         raise ValueError("n * eps^d = %.3g < 1; graph too sparse to be meaningful"
                          % (n * eps**d,))
 
-    upper = sparse.csr_matrix(_upper_triangle(points, eps, kernel), shape=(n, n))
+    if d == 1 and kernel.name == "indicator":
+        upper = _windows(points, eps, kernel)
+    else:
+        upper = sparse.csr_matrix(_upper_triangle(points, eps, kernel), shape=(n, n))
     diag = np.full(n, eps ** (-d) * kernel.eta0)
     return Graph(points, upper, diag, eps, kernel=kernel, seed=seed)
 

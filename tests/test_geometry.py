@@ -366,6 +366,58 @@ def test_build_graph_errors():
         build_graph(np.random.default_rng(0).random((5, 2)), 0.1, k)
 
 
+@pytest.mark.parametrize("variant", ["indicator", "cone"])  # window and CSR routes in d = 1
+@pytest.mark.parametrize("d", [1, 2])
+def test_build_graph_rejects_non_finite_input(variant, d):
+    k = make_kernel(variant, d)
+    pts = np.random.default_rng(0).random((20, d))
+    for eps in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            build_graph(pts, eps, k)
+    pts[3, 0] = np.nan
+    with pytest.raises(ValueError, match="non-finite point"):
+        build_graph(pts, 0.5, k)
+
+
+def window_upper(g):
+    # the strict upper triangle that a window graph's windows describe
+    w = g._windows
+    p = np.repeat(np.arange(g.n), w.hi - w.lo)
+    q = np.concatenate([np.arange(a, b) for a, b in zip(w.lo, w.hi)])
+    i, j = w.order[p], w.order[q]
+    keep = i < j
+    upper = sparse.csr_matrix((np.full(keep.sum(), w.c), (i[keep].astype(np.int32),
+                                                         j[keep].astype(np.int32))),
+                              shape=(g.n, g.n))
+    upper.sum_duplicates()
+    return upper
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 150), seed=st.integers(0, 2**31 - 1), eps_frac=st.floats(0.0, 1.0),
+       layout=st.sampled_from(["random", "lattice", "duplicates"]), m=st.integers(1, 5))
+def test_window_edges_match_the_csr_route(n, seed, eps_frac, layout, m):
+    # d = 1 indicator graphs keep windows of sorted points; their edges and
+    # weight are those of _upper_triangle, ties at exactly eps included
+    rng = np.random.default_rng(seed)
+    eps = 1.0 / n + eps_frac * (0.8 - min(1.0 / n, 0.8))
+    if layout == "random":
+        x = rng.random(n)
+    elif layout == "lattice":  # spacing eps / m: pairs m steps apart tie at eps
+        x = rng.integers(0, 2 * m * n, n) * (eps / m)
+    else:
+        x = rng.choice(rng.random(max(2, n // 5)), n)
+    pts = x[:, None]
+    k = make_kernel("indicator", 1)
+    g = build_graph(pts, eps, k)
+    assert g._csr is None
+    upper = window_upper(g)
+    assert_upper_matches_coo_route(upper, pts, eps, k)
+    csr = sparse.csr_matrix(geometry._upper_triangle(pts, eps, k), shape=(n, n))
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(upper, name), getattr(csr, name)), name
+
+
 def test_closest_point():
     pts = np.array([[0.0], [1.0], [3.0]])
     k = make_kernel("indicator", 1)

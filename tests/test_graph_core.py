@@ -349,6 +349,27 @@ def test_graph_rejects_overflowing_degree():
         Graph(pts, upper, np.ones(3), 1.0)
 
 
+@pytest.mark.parametrize("entries", [[(1, 0, 1.0)], [(2, 2, 2.0)], [(0, 1, 1.0), (1, 0, 1.0)]])
+def test_graph_rejects_entries_on_or_below_the_diagonal(entries, tmp_path):
+    # (2, 2) in `upper` counted the self-weight twice, and (1, 0) broke
+    # edge_arrays' i <= j, so a save/load round trip changed W
+    pts = np.arange(3.0)[:, None]
+    i, j, w = zip(*entries)
+    upper = sparse.coo_matrix((w, (i, j)), shape=(3, 3))
+    with pytest.raises(ValueError, match="on or below the diagonal"):
+        Graph(pts, upper, np.ones(3), 1.0)
+    # an edge list with j < i is rejected on load, not folded into W
+    g = Graph(pts, sparse.coo_matrix(([1.0], ([0], [1])), shape=(3, 3)), np.ones(3), 1.0,
+              sigma_eta=1.0)
+    path = str(tmp_path / "g.csv")
+    save_graph(g, path)
+    assert (load_graph(path).weight_matrix() != g.weight_matrix()).nnz == 0
+    with open(path, "a") as fh:
+        fh.write("2,1,0.5\n")
+    with pytest.raises(ValueError, match="on or below the diagonal"):
+        load_graph(path)
+
+
 def test_component_labels_returns_a_copy():
     pts = np.arange(4.0)[:, None]
     g = Graph(pts, sparse.coo_matrix(([1.0, 1.0], ([0, 2], [1, 3])), shape=(4, 4)),
@@ -457,6 +478,86 @@ def test_component_labels_match_the_full_graph(d, n, eps):
     ncomp, labels = _full_components(g)
     assert g.connected == (ncomp == 1)
     assert _same_partition(g.component_labels(), labels)
+
+
+def _window_graph(n, eps, seed):
+    from rgglearn.geometry import build_graph, make_kernel
+
+    g = build_graph(np.random.default_rng(seed).random((n, 1)), eps,
+                    make_kernel("indicator", 1), seed=seed)
+    assert g._windows is not None and g._csr is None
+    return g
+
+
+@pytest.mark.parametrize("n,eps,want", [(300, 0.004, 90), (3000, 0.003, 1), (500, 0.01, 6)])
+def test_window_component_labels_match_the_full_graph(n, eps, want):
+    # d = 1 indicator graphs take their components from their windows, numbered
+    # as csgraph numbers them; at n eps = 1.2 many gaps are wider than eps
+    g = _window_graph(n, eps, seed=n)
+    labels = g.component_labels()
+    ncomp, full = _full_components(g)
+    assert ncomp == want and g.connected == (ncomp == 1)
+    assert np.array_equal(labels, full)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 400), seed=st.integers(0, 2**31 - 1), eps_frac=st.floats(0.0, 1.0),
+       shift=st.floats(-10.0, 10.0))
+def test_window_wmul_matches_the_csr_product(n, seed, eps_frac, shift):
+    # both routes sum at most B = (longest window) terms per node, so each
+    # is within about 2 B^2 2^-53 c ||u||_inf of W u (recursive summation,
+    # Higham 1993); measured gaps are about B 2^-53 c ||u||_inf
+    eps = 1.0 / n + eps_frac * (0.5 - min(1.0 / n, 0.5))
+    g = _window_graph(n, eps, seed)
+    w = g._windows
+    u = np.random.default_rng(seed + 1).standard_normal(n) + shift
+    got = g.wmul(u)
+    upper = g._upper
+    want = upper @ u + upper.T @ u + g.self_weights * u
+    B = np.max(w.hi - w.lo)
+    assert np.max(np.abs(got - want)) <= (4 * B * B + 8 * B) * 2.0**-53 * w.c * np.max(np.abs(u))
+    # degrees count the window exactly
+    assert np.array_equal(g.degrees, w.c * (w.hi - w.lo - 1)[np.argsort(w.order)] + g.self_weights)
+
+
+def test_window_graph_matches_its_csr_twin(tmp_path):
+    # the operations that read the CSR give a window graph's results
+    # exactly as for the same graph built on the CSR route
+    from rgglearn import geometry
+    from rgglearn.geometry import build_graph, make_kernel
+
+    g = _window_graph(600, 0.01, seed=6)
+    assert build_graph(g.points, g.eps, make_kernel("cone", 1))._windows is None
+    k = make_kernel("indicator", 1)
+    upper = sparse.csr_matrix(geometry._upper_triangle(g.points, g.eps, k), shape=(g.n, g.n))
+    twin = Graph(g.points, upper, g.self_weights, g.eps, kernel=k, seed=6)
+    assert twin._windows is None
+    assert np.array_equal(g.component_labels(), twin.component_labels())
+    assert g.connected == twin.connected
+    assert np.allclose(g.degrees, twin.degrees, rtol=1e-14, atol=0)
+    assert g._csr is None  # nothing so far needed the CSR
+
+    for a, b in zip(g.edge_arrays(), twin.edge_arrays()):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    wa, wb = g.weight_matrix(), twin.weight_matrix()
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(wa, name), getattr(wb, name)), name
+    f = np.random.default_rng(1).random(g.n) + 0.5
+    ra, rb = g.reweighted(f), twin.reweighted(f)
+    assert ra._windows is None
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(ra._upper, name), getattr(rb._upper, name)), name
+    assert np.array_equal(ra.degrees, rb.degrees)
+    nodes = np.setdiff1d(np.arange(g.n), [3, 300])
+    (agg_a, Ma), (agg_b, Mb) = g._cell_aggregates(nodes), twin._cell_aggregates(nodes)
+    assert np.array_equal(agg_a, agg_b) and np.array_equal(Ma, Mb)
+    for graph, name in ((g, "window"), (twin, "twin")):
+        save_graph(graph, str(tmp_path / name))
+    for suffix in ("", ".meta", ".points"):
+        assert ((tmp_path / ("window" + suffix)).read_bytes()
+                == (tmp_path / ("twin" + suffix)).read_bytes().replace(b"twin", b"window"))
+    loaded = load_graph(str(tmp_path / "window"))
+    assert (loaded.weight_matrix() != twin.weight_matrix()).nnz == 0
 
 
 def test_components_fall_back_when_the_spanning_rows_disconnect():

@@ -380,6 +380,58 @@ def test_graph_cg_iterations_are_pinned():
     assert len(calls) == 33
 
 
+def d1_indicator_graph(n, eps, seed):
+    box = Box([0.0], [1.0])
+    pts = sample_points(box, make_density("constant", box), n, seed=seed)
+    return build_graph(pts, eps, make_kernel("indicator", 1), seed=seed)
+
+
+D1_SOURCE = SourceSpec([[0.3], [0.7]], [1.0, -1.0])
+
+
+def test_window_graph_cg_iterations_are_pinned():
+    # the same pin on a d = 1 indicator graph, whose W u is summed from
+    # windows of sorted points; the count is the one the CSR product gives
+    g = d1_indicator_graph(2000, 0.02, seed=4)
+    _, report = solve_graph_poisson(g, D1_SOURCE)
+    assert report.iterations == 75
+
+
+def test_window_graph_keeps_its_precision_on_a_fine_graph():
+    # 40000 nodes, windows of up to B = 284: CG takes the CSR product's 462
+    # iterations, and W u of a positive u, whose prefix sums only grow, is
+    # within B^2 2^-53 c ||u||_inf of the CSR product.  The block-local
+    # prefix sums miss it by 5.0e-13 c ||u||_inf; prefix sums over all n
+    # sorted values, whose rounding grows with n instead of B, by 4.8e-11.
+    g = d1_indicator_graph(40000, 0.003, seed=3)
+    _, report = solve_graph_poisson(g, D1_SOURCE)
+    assert report.iterations == 462
+    u = np.random.default_rng(0).random(g.n) + 1.0
+    upper = g._upper
+    gap = np.max(np.abs(g.wmul(u) - (upper @ u + upper.T @ u + g.self_weights * u)))
+    w = g._windows
+    longest = np.max(w.hi - w.lo)
+    assert gap <= longest**2 * 2.0**-53 * w.c * np.max(u)
+
+
+def test_window_graph_solves_and_smooths_without_the_csr(monkeypatch):
+    from rgglearn import geometry
+    from rgglearn.heat_kernel import heat_convolve
+
+    calls = []
+    upper_triangle = geometry._upper_triangle
+    monkeypatch.setattr(geometry, "_upper_triangle",
+                        lambda *args: calls.append(1) or upper_triangle(*args))
+    g = d1_indicator_graph(2000, 0.02, seed=5)
+    u, _ = solve_graph_poisson(g, D1_SOURCE)
+    heat_convolve(g, 5, u)
+    heat_convolve(g, 80, u)  # the truncated Chebyshev sum
+    assert calls == []
+    g.edge_arrays()
+    g.weight_matrix()
+    assert calls == [1]  # built once, on first read
+
+
 @pytest.mark.parametrize("tol", [0.0, -1.0])
 @pytest.mark.parametrize("solve", [
     lambda g, tol: solve_laplace_learning(g, [(0, 1.0), (20, -1.0)], tol=tol),
