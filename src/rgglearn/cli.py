@@ -92,8 +92,7 @@ def _cmd_psi(args):
     kernel = make_kernel(args.kernel, args.d)
     table = psi_table(kernel, args.d, args.k, args.eps)
     _write_columns(args.out, "r,psi", (table.r, table.values), ("%.17g", "%.17g"))
-    print("wrote %s (%d radii, method=%s, mass=%.12g)"
-          % (args.out, table.r.size, table.method, table.mass()))
+    print("wrote %s (%d radii, mass=%.12g)" % (args.out, table.r.size, table.mass()))
     return 0
 
 

@@ -338,19 +338,22 @@ class Graph:
     def wmul(self, u):
         """Apply the full symmetric weight matrix W to a vector.
 
-        A d = 1 indicator graph from ``build_graph`` returns
+        u must have shape (n,); any other shape raises ValueError.  A d = 1
+        indicator graph from ``build_graph`` returns
         c (window sum - u) + diag*u from block-local prefix sums of the
         sorted u (see the module docstring, which bounds its gap to the CSR
         product by about 4 B^2 2^-53 c ||u||_inf, B the longest window).
-        Every other graph, and any u that is not a vector of length n,
-        returns U u + U^T u + diag*u, summed in that order, with U the
-        stored upper triangle.  On large graphs with two or more usable
-        CPUs the U^T u pass runs on a background worker thread while this
-        thread computes U u; otherwise both run here.  The result is
-        bit-identical on either path.
+        Every other graph returns U u + U^T u + diag*u, summed in that
+        order, with U the stored upper triangle.  On large graphs with two
+        or more usable CPUs the U^T u pass runs on a background worker
+        thread while this thread computes U u; otherwise both run here.
+        The result is bit-identical on either path.
         """
         u = np.asarray(u, dtype=np.float64)
-        if self._windows is not None and u.shape == (self.n,):
+        if u.shape != (self.n,):
+            raise ValueError("wmul needs a vector of shape (%d,), got shape %s"
+                             % (self.n, u.shape))
+        if self._windows is not None:
             out = self._windows.matvec(u)
             out += self._diag * u
             return out

@@ -18,13 +18,14 @@ the k steps are applied one by one.  The continuum side provides
 the smoothed density rho_hat, the nonlocal averaging operator M_eps on a
 grid, the repeated self-convolutions psi_k of the kernel profile, and the
 scale constants (eps_k, R_k, Theta_dk, phi) controlling their effective
-support.
+support.  psi_k is one Fourier power on a periodic grid in every
+dimension: a d-dimensional grid for d <= 2, and for d = 3 one line, by the
+radial reduction t psi_k(|t|) (see `psi_table`).
 """
 
 import numpy as np
 from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.integrate import simpson
-from scipy.special import gammaln, j0
+from scipy.special import gammaln
 
 from .geometry import BALL_VOLUME, _cell_grid, _gauss_legendre
 from .graph_core import GraphFunction, LaplacianKind, laplacian_apply
@@ -468,16 +469,15 @@ def _radial_moment(r, v, d):
 class RadialKernelTable:
     """Radial samples of a repeated self-convolution psi_k.
 
-    Fields: r (radii), values, d, k, eps, method tag.
+    Fields: r (radii), values, d, k, eps.
     """
 
-    def __init__(self, r, values, d, k, eps, method):
+    def __init__(self, r, values, d, k, eps):
         self.r = np.asarray(r, dtype=float)
         self.values = np.asarray(values, dtype=float)
         self.d = d
         self.k = k
         self.eps = eps
-        self.method = method
 
     def evaluate(self, r):
         r = np.asarray(r, dtype=float)
@@ -502,13 +502,15 @@ def _psi_grid(kernel, d, k):
     on a periodic grid of half-period nb + m cells (see `psi_table`)."""
     # resolution: resolve the base kernel well and keep the final grid small
     h = min(1.0 / 128, np.sqrt(k) / 256) if d == 2 else min(1.0 / 1024, np.sqrt(k) / 4096)
+    # beyond nb h the Gaussian tail of psi_k holds mass below 1e-16, so the
+    # wrap-around stays at rounding level
+    nb = int(np.ceil(min(k, 8.5 * np.sqrt(k / (d + 2))) / h))
+    if d == 3:
+        return _psi_line(kernel, k, h, nb)
     base = _cell_average_axes(kernel, 1.0, h, d, sub=8)
     # unit sum before the power: an h^d-scaled spectrum would overflow at DC
     base = base / base.sum()
     m = (base.shape[0] - 1) // 2
-    # beyond nb h the Gaussian tail of psi_k holds mass below 1e-16, so the
-    # wrap-around stays at rounding level
-    nb = int(np.ceil(min(k, 8.5 * np.sqrt(k / (d + 2))) / h))
     size = next_fast_len(2 * (nb + m) + 1, real=True)
     grid = np.zeros((size,) * d)
     grid[np.ix_(*[np.arange(-m, m + 1) % size] * d)] = base
@@ -531,74 +533,57 @@ def _psi_grid(kernel, d, k):
     return rsum[full] / cnts[full], sums[full] / cnts[full]
 
 
-def _eta_hat(kernel, d, s):
-    """Radial Fourier transform of the profile at frequencies s."""
-    nodes, weights = _gauss_legendre(2048)
-    r = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    er = kernel.eta(r)
-    s = np.atleast_1d(np.asarray(s, dtype=float))
-    if d == 1:
-        out = 2.0 * (np.cos(2 * np.pi * np.outer(s, r)) * (er * w)) .sum(axis=1)
-    elif d == 2:
-        out = 2 * np.pi * (j0(2 * np.pi * np.outer(s, r)) * (er * r * w)).sum(axis=1)
-    else:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = (np.sin(2 * np.pi * np.outer(s, r)) * (er * r * w)).sum(axis=1)
-            out = np.where(s > 0, 2.0 * out / np.where(s > 0, s, 1.0),
-                           4 * np.pi * ((er * r**2 * w).sum()))
-    return out
+def _psi_line(kernel, k, h, nb):
+    """d = 3 branch of `_psi_grid`, by the radial reduction to one line.
 
-
-def _psi_fourier(kernel, d, k, tail_tol=1e-14, s_cap=300.0):
-    """psi_k at eps = 1 via the radial Fourier representation."""
-    # find the frequency S beyond which |eta_hat|^k is negligible
-    S = 4.0
-    while True:
-        s_probe = np.linspace(0.75 * S, S, 257)
-        if np.max(np.abs(_eta_hat(kernel, d, s_probe))) ** k < tail_tol:
-            break
-        S *= 1.5
-        if S > s_cap:
-            raise RuntimeError(
-                "insufficient quadrature resolution: eta_hat^%d decays too "
-                "slowly (need frequencies beyond %g)" % (k, s_cap))
-    rmax = min(float(k), 10.0 * np.sqrt(k))
-    ds = 1.0 / (96.0 * rmax)
-    ns = int(np.ceil(S / ds)) | 1  # odd count for Simpson
-    s = np.linspace(0.0, S, ns)
-    ehat_k = _eta_hat(kernel, d, s) ** k
-    # the radial sample count limits the table's own quadrature accuracy
-    nr = 4096 if d == 3 else 2048
-    r = np.linspace(0.0, rmax, nr)
-    out = np.empty(nr)
-    chunk = 256
-    for lo in range(0, nr, chunk):
-        rc = r[lo:lo + chunk]
-        if d == 1:
-            mat = np.cos(2 * np.pi * np.outer(rc, s)) * ehat_k
-            out[lo:lo + chunk] = 2.0 * simpson(mat, x=s, axis=1)
-        elif d == 2:
-            mat = j0(2 * np.pi * np.outer(rc, s)) * (ehat_k * s)
-            out[lo:lo + chunk] = 2 * np.pi * simpson(mat, x=s, axis=1)
-        else:
-            mat = np.sin(2 * np.pi * np.outer(rc, s)) * (ehat_k * s)
-            vals = simpson(mat, x=s, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vals = np.where(rc > 0, 2.0 * vals / np.where(rc > 0, rc, 1.0),
-                                4 * np.pi * simpson(ehat_k * s**2, x=s))
-            out[lo:lo + chunk] = vals
-    return r, out
+    For radial f on R^3 the odd line function F(t) = t f(|t|) has the
+    transform Fhat(s) = -i s fhat(s).  So t psi_k(|t|) is the inverse line
+    transform of -i s (i Fhat_eta(s) / s)^k, where F_eta(t) = t eta(|t|) and
+    the s = 0 factor is the unit mass.
+    """
+    # cells up to the one holding r = 1: rounding keeps the partly covered
+    # outer cell that floor(1 / h) drops when frac(1 / h) > 1/2
+    m = int(np.floor(1.0 / h + 0.5))
+    j = np.arange(-m, m + 1)
+    shift = ((np.arange(8) + 0.5) / 8 - 0.5) * h
+    t = j[:, None] * h + shift[None, :]
+    base = (t * kernel.eta(np.abs(t))).mean(axis=1)
+    # sum_j j base_j = 1 makes the transformed power 1 at s = 0 and at most
+    # 1 in modulus elsewhere (t eta(|t|) >= 0 for t > 0); as the unit mass
+    # gives int t^2 eta(|t|) dt = 1 / (2 pi), this scales by about 2 pi h^2
+    base /= j @ base
+    size = next_fast_len(2 * (nb + m) + 1, real=True)
+    line = np.zeros(size)
+    line[j % size] = base
+    spec = rfftn(line)
+    s = 2 * np.pi * np.arange(spec.size) / size  # angular frequency per cell
+    spec[1:] *= 1j / s[1:]
+    spec[0] = 1.0
+    spec **= k
+    spec *= -1j * s
+    tpsi = irfftn(spec, line.shape, overwrite_x=True)[:nb + 1] / (2 * np.pi * h**2)
+    r = np.arange(nb + 1) * h
+    psi = np.empty(nb + 1)
+    psi[1:] = tpsi[1:] / r[1:]
+    # psi_k is even in r: extrapolate r = 0 from r = h and 2h
+    psi[0] = (4 * psi[1] - psi[2]) / 3
+    return r, psi
 
 
 def psi_table(kernel, d, k, eps):
     """Repeated self-convolution table
     ======
 
-    Builds psi_k at eps = 1 (one Fourier power on a periodic grid for
-    d <= 2, ending at min(k, 8.5 sqrt(k / (d + 2))); the radial Fourier
-    representation for d = 3) and rescales to
-    psi_{k,eps}(x) = eps^{-d} psi_k(x/eps).
+    Builds psi_k at eps = 1 as one Fourier power on a periodic grid, with
+    the table ending at min(k, 8.5 sqrt(k / (d + 2))), and rescales to
+    psi_{k,eps}(x) = eps^{-d} psi_k(x/eps).  For d <= 2 the grid is
+    d-dimensional and the radial profile comes from annulus averages.  For
+    d = 3 the radial reduction puts the whole power on one line: t psi_k(|t|)
+    is the odd line function whose transform is -i s psihat_k(s), so one
+    rfft of the cell-averaged t eta(|t|), its transformed k-th power and one
+    irfft give psi_k in about 0.01 s for k = 64, where a 3-d grid of the
+    same step would hold about 3e14 cells.  Either way the table is
+    renormalized to unit radial mass.
 
     Parameters
     ----------
@@ -618,19 +603,16 @@ def psi_table(kernel, d, k, eps):
         raise ValueError("eps must be finite and positive")
     if kernel.d != d:
         raise ValueError("kernel dimension mismatch")
-    method = "grid-convolution" if d <= 2 else "radial-fourier"
     if k == 1:
         # empty convolution product: eta_eps itself
         r = np.linspace(0.0, 1.0, 4097)
-        return RadialKernelTable(r * eps, kernel.eta(r) * eps ** (-d), d, k, eps, method)
-    if d <= 2:
-        r, vals = _psi_grid(kernel, d, k)
-        # the discrete grid mass is exactly one; renormalize the radial view
-        # so its own quadrature agrees (a relative adjustment of order h^2)
-        vals = vals / (d * BALL_VOLUME[d] * _radial_moment(r, vals, d))
-    else:
-        r, vals = _psi_fourier(kernel, d, k)
-    return RadialKernelTable(r * eps, vals * eps ** (-d), d, k, eps, method)
+        return RadialKernelTable(r * eps, kernel.eta(r) * eps ** (-d), d, k, eps)
+    r, vals = _psi_grid(kernel, d, k)
+    # the grid's spectrum is exactly one at zero frequency; renormalize the
+    # radial view so its own quadrature agrees (a relative adjustment of
+    # order h^2)
+    vals = vals / (d * BALL_VOLUME[d] * _radial_moment(r, vals, d))
+    return RadialKernelTable(r * eps, vals * eps ** (-d), d, k, eps)
 
 
 class ScaleConstants:

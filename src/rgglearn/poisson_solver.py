@@ -67,13 +67,13 @@ def assemble_source(g, s):
     return GraphFunction(g, f * g.n)
 
 
-def _pcg(matvec, b, tol_check, x0=None, precond=None, project=None, maxiter=1000):
+def _pcg(matvec, b, tol_check, precond, x0=None, project=None, maxiter=1000):
     """Preconditioned CG with optional iterate projection.
 
-    precond(r, out) writes the preconditioned residual into out (None is
-    the identity) and project(x) maps x into the gauge in place; b and x0
-    are never written to.  tol_check(r) decides convergence; the recurrence
-    residual is confirmed against a freshly computed one before returning.
+    precond(r, out) writes the preconditioned residual into out and
+    project(x) maps x into the gauge in place; b and x0 are never written
+    to.  tol_check(r) decides convergence; the recurrence residual is
+    confirmed against a freshly computed one before returning.
     When the recurrence residual passes but the fresh one fails, CG
     restarts from the fresh one; if that residual is not below half of the
     previous restart's, the tolerance is out of reach in floating point and
@@ -88,7 +88,7 @@ def _pcg(matvec, b, tol_check, x0=None, precond=None, project=None, maxiter=1000
     # the operation order of the textbook recurrence, so the iterates are
     # bitwise those of x += alpha p, r -= alpha Ap, p = z + beta p
     r = np.empty_like(x)
-    z = r if precond is None else np.empty_like(x)
+    z = np.empty_like(x)
     p = np.empty_like(x)
     step = np.empty_like(x)
     total = 0
@@ -109,8 +109,7 @@ def _pcg(matvec, b, tol_check, x0=None, precond=None, project=None, maxiter=1000
         if total + restarts >= maxiter:
             raise RuntimeError("CG did not converge within %d iterations (%d restarts)"
                                % (maxiter, restarts))
-        if precond is not None:
-            precond(r, z)
+        precond(r, z)
         np.copyto(p, z)
         rz = float(r @ z)
         while total + restarts < maxiter:
@@ -128,8 +127,7 @@ def _pcg(matvec, b, tol_check, x0=None, precond=None, project=None, maxiter=1000
             if tol_check(r):
                 passed = True
                 break
-            if precond is not None:
-                precond(r, z)
+            precond(r, z)
             rz_new = float(r @ z)
             p *= rz_new / rz
             p += z

@@ -84,6 +84,14 @@ def test_psi_table(tmp_path):
     assert r0 == 0.0 and v0 > 0.0
 
 
+def test_psi_table_d3(tmp_path, capsys):
+    out = tmp_path / "psi3.csv"
+    assert main(["psi", "--d", "3", "--k", "2", "--eps", "0.1",
+                 "--out", str(out)]) == 0
+    mass = float(re.search(r"mass=(\S+)\)", capsys.readouterr().out).group(1))
+    assert abs(mass - 1.0) < 1e-9
+
+
 def test_continuum(tmp_path):
     src = write_sources(tmp_path / "src.csv")
     out = tmp_path / "ref.csv"

@@ -1,6 +1,7 @@
 import io
 import multiprocessing
 import os
+import re
 import threading
 
 import numpy as np
@@ -518,6 +519,21 @@ def test_window_wmul_matches_the_csr_product(n, seed, eps_frac, shift):
     assert np.max(np.abs(got - want)) <= (4 * B * B + 8 * B) * 2.0**-53 * w.c * np.max(np.abs(u))
     # degrees count the window exactly
     assert np.array_equal(g.degrees, w.c * (w.hi - w.lo - 1)[np.argsort(w.order)] + g.self_weights)
+
+
+@pytest.mark.parametrize("kind", ["indicator", "cone"])
+def test_wmul_rejects_non_vectors_before_building_anything(kind):
+    # the window route (indicator) and the CSR route (cone) check u's shape
+    # first, so a bad u never makes the window graph build its CSR
+    from rgglearn.geometry import build_graph, make_kernel
+
+    g = build_graph(np.random.default_rng(3).random((50, 1)), 0.1, make_kernel(kind, 1))
+    assert (g._windows is not None) == (kind == "indicator")
+    for u in (np.ones((50, 2)), np.ones(51), np.ones((1, 50)), np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"shape \(50,\), got shape %s"
+                           % re.escape(str(u.shape))):
+            g.wmul(u)
+    assert (g._csr is None) == (kind == "indicator")
 
 
 def test_window_graph_matches_its_csr_twin(tmp_path):

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import simpson
+from scipy.integrate import quad, simpson
+from scipy.special import j0
 
-from rgglearn.geometry import Box, Disk, make_kernel, make_density, sample_points, build_graph
+from rgglearn.geometry import (Box, Disk, _gauss_legendre, make_kernel, make_density,
+                               sample_points, build_graph)
 from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, weighted_mean)
 from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _cell_average_axes,
                                   _chebyshev_coefficients, _exit_crossings,
-                                  _psi_fourier, _psi_grid,
+                                  _psi_grid,
                                   heat_column, heat_convolve, psi_table,
                                   repeated_average, rho_hat, scale_constants,
                                   smooth_poisson)
@@ -301,12 +303,103 @@ def test_psi_unit_mass_grid_route():
                 assert tab.values.min() > -1e-8
 
 
+def test_psi_d3_indicator_ball_intersection():
+    # eta * eta for the d=3 indicator is the volume pi (4 + r) (2 - r)^2 / 12
+    # of two unit balls at center distance r, divided by (4 pi / 3)^2
+    vol = 4 * np.pi / 3
+    tab = psi_table(make_kernel("indicator", 3), 3, 2, 1.0)
+    r = np.linspace(0.01, 2.2, 2191)
+    want = np.where(r < 2, np.pi * (4 + r) * np.clip(2 - r, 0, None) ** 2 / 12, 0.0) / vol**2
+    assert np.max(np.abs(tab.evaluate(r) - want)) < 1e-4
+    assert abs(float(tab.evaluate(0.0)) - 1 / vol) < 5e-3 / vol
+
+    # psi_3 = psi_2 * eta by the radial convolution formula
+    # (2 pi / r) int psi_2(s) s int_{|r-s|}^{r+s} eta(t) t dt ds, one quad per
+    # radius.  At k = 3, 1/h = 2364.83: the table's stencil must keep the
+    # partly covered cell at r = 1 (without it the gap is 4.6e-5)
+    def psi3(r):
+        f = lambda s: (np.pi * (4 + s) * (2 - s) ** 2 / 12 / vol**2 * s
+                       * (min(r + s, 1.0) ** 2 - (r - s) ** 2) / 2)
+        lo, hi = max(0.0, r - 1), min(2.0, r + 1)
+        kink = [1 - r] if lo < 1 - r < hi else None
+        return 2 * np.pi / (vol * r) * quad(f, lo, hi, points=kink, epsabs=1e-13)[0]
+
+    tab = psi_table(make_kernel("indicator", 3), 3, 3, 1.0)
+    r = np.linspace(0.05, 2.95, 59)
+    assert np.max(np.abs(tab.evaluate(r) - [psi3(x) for x in r])) < 1e-5
+
+
 def test_psi_unit_mass_fourier_route():
     tab = psi_table(make_kernel("indicator", 3), 3, 4, 1.0)
-    assert tab.method == "radial-fourier"
-    assert abs(tab.mass() - 1.0) < 1e-6
+    assert abs(tab.mass() - 1.0) < 1e-12
     tab = psi_table(make_kernel("bump", 3), 3, 2, 0.3)
-    assert abs(tab.mass() - 1.0) < 1e-6
+    assert abs(tab.mass() - 1.0) < 1e-12
+    for variant in ("indicator", "cone", "bump"):
+        for k in (2, 4, 16):
+            tab = psi_table(make_kernel(variant, 3), 3, k, 0.1)
+            assert abs(tab.mass() - 1.0) < 1e-12
+
+
+# The radial Fourier quadrature that built the d = 3 tables before the
+# radial reduction put them on a line grid, kept as an independent reference.
+def _eta_hat(kernel, d, s):
+    """Radial Fourier transform of the profile at frequencies s."""
+    nodes, weights = _gauss_legendre(2048)
+    r = 0.5 * (nodes + 1.0)
+    w = 0.5 * weights
+    er = kernel.eta(r)
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if d == 1:
+        out = 2.0 * (np.cos(2 * np.pi * np.outer(s, r)) * (er * w)) .sum(axis=1)
+    elif d == 2:
+        out = 2 * np.pi * (j0(2 * np.pi * np.outer(s, r)) * (er * r * w)).sum(axis=1)
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = (np.sin(2 * np.pi * np.outer(s, r)) * (er * r * w)).sum(axis=1)
+            out = np.where(s > 0, 2.0 * out / np.where(s > 0, s, 1.0),
+                           4 * np.pi * ((er * r**2 * w).sum()))
+    return out
+
+
+def _psi_fourier(kernel, d, k, tail_tol=1e-14, s_cap=300.0):
+    """psi_k at eps = 1 via the radial Fourier representation."""
+    # find the frequency S beyond which |eta_hat|^k is negligible
+    S = 4.0
+    while True:
+        s_probe = np.linspace(0.75 * S, S, 257)
+        if np.max(np.abs(_eta_hat(kernel, d, s_probe))) ** k < tail_tol:
+            break
+        S *= 1.5
+        if S > s_cap:
+            raise RuntimeError(
+                "insufficient quadrature resolution: eta_hat^%d decays too "
+                "slowly (need frequencies beyond %g)" % (k, s_cap))
+    rmax = min(float(k), 10.0 * np.sqrt(k))
+    ds = 1.0 / (96.0 * rmax)
+    ns = int(np.ceil(S / ds)) | 1  # odd count for Simpson
+    s = np.linspace(0.0, S, ns)
+    ehat_k = _eta_hat(kernel, d, s) ** k
+    # the radial sample count limits the table's own quadrature accuracy
+    nr = 4096 if d == 3 else 2048
+    r = np.linspace(0.0, rmax, nr)
+    out = np.empty(nr)
+    chunk = 256
+    for lo in range(0, nr, chunk):
+        rc = r[lo:lo + chunk]
+        if d == 1:
+            mat = np.cos(2 * np.pi * np.outer(rc, s)) * ehat_k
+            out[lo:lo + chunk] = 2.0 * simpson(mat, x=s, axis=1)
+        elif d == 2:
+            mat = j0(2 * np.pi * np.outer(rc, s)) * (ehat_k * s)
+            out[lo:lo + chunk] = 2 * np.pi * simpson(mat, x=s, axis=1)
+        else:
+            mat = np.sin(2 * np.pi * np.outer(rc, s)) * (ehat_k * s)
+            vals = simpson(mat, x=s, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                vals = np.where(rc > 0, 2.0 * vals / np.where(rc > 0, rc, 1.0),
+                                4 * np.pi * simpson(ehat_k * s**2, x=s))
+            out[lo:lo + chunk] = vals
+    return r, out
 
 
 def test_psi_route_cross_validation():
@@ -320,6 +413,12 @@ def test_psi_route_cross_validation():
     tg = psi_table(kerc, 1, 4, 1.0)
     r = np.linspace(0, 3.8, 300)
     assert np.max(np.abs(np.interp(r, rf, vf, right=0.0) - tg.evaluate(r))) < 1e-5
+    # d = 3 by the radial reduction against the sine-transform quadrature
+    kerc = make_kernel("cone", 3)
+    rf, vf = _psi_fourier(kerc, 3, 8)
+    tg = psi_table(kerc, 3, 8, 1.0)
+    r = np.linspace(0, rf[-1], 4001)
+    assert np.max(np.abs(np.interp(r, rf, vf, right=0.0) - tg.evaluate(r))) < 1e-6
 
 
 def ladder_psi_grid(kernel, d, k):
@@ -377,7 +476,7 @@ def test_psi_grid_matches_convolution_ladder(d, variant, k):
 
 def test_psi_tail_bound():
     # mass outside radius t is at most 2 d exp(-t^2 / (2 d eps_k^2))
-    for d in (1, 2):
+    for d in (1, 2, 3):
         ker = make_kernel("indicator", d)
         for k in (2, 8):
             tab = psi_table(ker, d, k, 0.1)
@@ -390,7 +489,7 @@ def test_psi_tail_bound():
 def test_psi_gaussian_envelope_constant():
     # psi_{k,eps} <= C min(eps_k^{-d}, eps^{-d} exp(-|x|^2/(8 d eps_k^2)))
     worst = 0.0
-    for d in (1, 2):
+    for d in (1, 2, 3):
         ker = make_kernel("indicator", d)
         for k in (4, 16):
             tab = psi_table(ker, d, k, 0.1)
@@ -399,13 +498,6 @@ def test_psi_gaussian_envelope_constant():
             worst = max(worst, float(np.max(tab.values / env)))
     print("fitted envelope constant C = %.3f" % worst)
     assert 0.1 < worst < 2.0
-
-
-def test_psi_fourier_insufficient_resolution():
-    with pytest.raises(RuntimeError, match="insufficient quadrature resolution"):
-        _psi_fourier(make_kernel("indicator", 2), 2, 2)
-    with pytest.raises(RuntimeError, match="insufficient quadrature resolution"):
-        _psi_fourier(make_kernel("indicator", 1), 1, 4)
 
 
 def test_psi_eps_rescaling():

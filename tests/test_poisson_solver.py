@@ -249,7 +249,7 @@ def test_pcg_restarts_count_toward_maxiter():
         return 0.0 * v
 
     with pytest.raises(RuntimeError, match="within 5 iterations"):
-        _pcg(zero, np.ones(4), lambda r: False, maxiter=5)
+        _pcg(zero, np.ones(4), lambda r: False, lambda r, out: np.copyto(out, r), maxiter=5)
 
 
 def test_pcg_unreachable_tolerance_fails_fast():
