@@ -47,7 +47,6 @@ import threading
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse import csgraph
 
 
 # Below this many stored entries per pass, _run_pair runs both passes on the
@@ -123,6 +122,8 @@ def _components(upper):
     whole matrix only when they leave the graph disconnected; the labels
     are exact either way.
     """
+    from scipy.sparse import csgraph  # deferred: scipy.sparse.csgraph is slow to import
+
     indptr = upper.indptr
     count = np.minimum(np.diff(indptr), _SPAN_PER_ROW)
     span_ptr = np.concatenate(([0], np.cumsum(count)))

@@ -24,8 +24,6 @@ radial reduction t psi_k(|t|) (see `psi_table`).
 """
 
 import numpy as np
-from scipy.fft import irfftn, next_fast_len, rfftn
-from scipy.special import gammaln
 
 from .geometry import BALL_VOLUME, _cell_grid, _gauss_legendre
 from .graph_core import GraphFunction, LaplacianKind, laplacian_apply
@@ -61,6 +59,8 @@ def _chebyshev_coefficients(k):
     c_0 = P(Bin(k, 1/2) = k/2); computed in log space, so k up to
     MAX_HEAT_STEPS neither overflows nor underflows to a zero sum.
     """
+    from scipy.special import gammaln  # deferred: scipy.special is slow to import
+
     i = np.arange(k // 2 + 1)
     logp = gammaln(k + 1) - gammaln(i + 1) - gammaln(k - i + 1) - k * np.log(2.0)
     c = np.zeros(k + 1)
@@ -395,8 +395,13 @@ def _cell_average(kernel, eps, axes, center, h, sub):
 
 
 def _cell_average_axes(kernel, eps, h, d, sub=4):
-    """Kernel eta_eps cell-averaged onto a (2m+1,)*d offset stencil."""
-    m = int(np.floor(eps / h + 1e-12))
+    """Kernel eta_eps cell-averaged onto a (2m+1,)*d offset stencil.
+
+    m is the offset of the cell holding r = eps: rounding keeps the partly
+    covered outer cell that floor(eps / h) drops when frac(eps / h) > 1/2,
+    as `_psi_line` does.
+    """
+    m = int(np.floor(eps / h + 0.5))
     coarse = np.arange(-m, m + 1) * h
     return _cell_average(kernel, eps, [coarse] * d, np.zeros(d), h, sub)
 
@@ -500,6 +505,8 @@ class RadialKernelTable:
 def _psi_grid(kernel, d, k):
     """psi_k at eps = 1 as the k-th Fourier power of the cell-averaged kernel
     on a periodic grid of half-period nb + m cells (see `psi_table`)."""
+    from scipy.fft import irfftn, next_fast_len, rfftn  # deferred: scipy.fft is slow to import
+
     # resolution: resolve the base kernel well and keep the final grid small
     h = min(1.0 / 128, np.sqrt(k) / 256) if d == 2 else min(1.0 / 1024, np.sqrt(k) / 4096)
     # beyond nb h the Gaussian tail of psi_k holds mass below 1e-16, so the
@@ -541,6 +548,8 @@ def _psi_line(kernel, k, h, nb):
     transform of -i s (i Fhat_eta(s) / s)^k, where F_eta(t) = t eta(|t|) and
     the s = 0 factor is the unit mass.
     """
+    from scipy.fft import irfftn, next_fast_len, rfftn  # deferred: scipy.fft is slow to import
+
     # cells up to the one holding r = 1: rounding keeps the partly covered
     # outer cell that floor(1 / h) drops when frac(1 / h) > 1/2
     m = int(np.floor(1.0 / h + 0.5))

@@ -15,7 +15,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .geometry import closest_point
 from .graph_core import GraphFunction
@@ -161,6 +160,8 @@ def _two_level(g, nodes, diag):
     A_c is diag(sum of diag per cell) - (M + M^T), formed from the stored
     weights without building W, and factored once.
     """
+    from scipy.linalg import cho_factor, cho_solve  # deferred: scipy.linalg is slow to import
+
     agg, M = g._cell_aggregates(nodes)
     m = M.shape[0]
     coarse = cho_factor(np.diag(np.bincount(agg, diag, minlength=m)) - M - M.T)

@@ -67,6 +67,20 @@ def test_cone_closed_forms():
     assert k2.sigma_eta == pytest.approx(3.0 / 20.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_constants_match_closed_forms(d):
+    # omega_d int_0^1 r^(d+1) eta(r) dr in closed form: 1/(d+2) for the
+    # indicator and (d+1)/((d+2)(d+3)) for the cone
+    for name, want in (("indicator", 1 / (d + 2)), ("cone", (d + 1) / ((d + 2) * (d + 3)))):
+        assert abs(make_kernel(name, d).sigma_eta - want) <= 1e-14 * want
+    # the bump's normalization has no closed form: adaptive quadrature
+    bump = make_kernel("bump", d)
+    from scipy.integrate import quad
+    f = lambda r: bump.eta(np.array([r]))[0] * r ** (d - 1)
+    mass = d * UNIT_BALL_VOLUME[d] * quad(f, 0.0, 1.0, epsabs=1e-15, epsrel=1e-13)[0]
+    assert abs(mass - 1.0) < 1e-13
+
+
 def test_kernel_unit_mass_all_variants():
     for name in ["indicator", "cone", "bump"]:
         for d in [1, 2, 3]:

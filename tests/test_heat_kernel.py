@@ -275,6 +275,31 @@ def test_psi_d1_indicator_triangle():
         assert abs(float(tab.evaluate(r)) - want) < 1e-4
 
 
+def test_psi_d1_indicator_three_fold():
+    # psi_3 = psi_2 * eta with the triangle psi_2(r) = (2 - r)/4 and eta = 1/2
+    # on [-1, 1], one quad per radius.  At k = 3, 1/h = 2364.83: the table's
+    # stencil must keep the partly covered cell at r = 1 (without it the gap
+    # is 5.2e-5)
+    def psi3(r):
+        f = lambda s: max(2 - abs(r - s), 0.0) / 8
+        kinks = [p for p in (r, r - 2) if -1 < p < 1]
+        return quad(f, -1.0, 1.0, points=kinks or None, epsabs=1e-13)[0]
+
+    tab = psi_table(make_kernel("indicator", 1), 1, 3, 1.0)
+    r = np.linspace(0.0, 2.95, 60)
+    assert np.max(np.abs(tab.evaluate(r) - [psi3(x) for x in r])) < 1e-5
+
+
+@pytest.mark.parametrize("d, k", [(1, 3), (1, 5), (2, 3)])
+def test_psi_base_stencil_keeps_outer_cell(d, k):
+    # the step _psi_grid takes; frac(1/h) > 1/2 for these k, so the cell
+    # holding r = 1 is only partly covered and must stay in the stencil
+    h = min(1.0 / 128, np.sqrt(k) / 256) if d == 2 else min(1.0 / 1024, np.sqrt(k) / 4096)
+    assert 1 / h % 1 > 0.5
+    base = _cell_average_axes(make_kernel("indicator", d), 1.0, h, d, sub=8)
+    assert abs(base.sum() * h**d - 1.0) < 2.5e-5
+
+
 def test_psi_d2_indicator_lens():
     # eta * eta for the d=2 indicator is the unit-disk intersection area
     # at center distance r, divided by pi^2
@@ -690,14 +715,40 @@ def test_grid_field_sampling():
     assert abs(edge[0] - (2.0 * 0.5 - 3.0 * 0.25)) < 1e-12
 
 
-def test_import_defers_scipy_signal():
-    # scipy.signal is slow to import; only repeated_average needs it
+# scipy modules that each take a noticeable share of `import rgglearn`; the
+# functions that need one import it when first called
+DEFERRED_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.spatial",
+                  "scipy.sparse.csgraph", "scipy.fft", "scipy.special", "scipy.linalg")
+
+# work that needs none of them: the import itself, the FD reference, and a
+# d = 1 indicator graph, whose edges come from sorted windows
+LEAN_WORK = {
+    "import": "",
+    "fd-reference": """
+box = rgglearn.Box([0.0, 0.0], [1.0, 1.0])
+grid = rgglearn.build_grid(box, 1.0 / 16, rgglearn.make_density("affine", box))
+rgglearn.solve_weighted_poisson(grid, rgglearn.SourceSpec([[0.3, 0.5], [0.7, 0.5]], [1.0, -1.0]))
+""",
+    "d1-indicator-graph": """
+box = rgglearn.Box([0.0], [1.0])
+pts = rgglearn.sample_points(box, rgglearn.make_density("affine", box), 2000, seed=3)
+g = rgglearn.build_graph(pts, 0.02, rgglearn.make_kernel("indicator", 1))
+rgglearn.solve_graph_poisson(g, rgglearn.SourceSpec([[0.3], [0.7]], [1.0, -1.0]))
+""",
+}
+
+
+@pytest.mark.parametrize("work", sorted(LEAN_WORK))
+def test_import_defers_heavy_scipy_modules(work):
     import rgglearn
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rgglearn.__file__))
-    code = "import sys, rgglearn; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    code = ("import sys, rgglearn\n" + LEAN_WORK[work]
+            + "print(' '.join(m for m in %r if m in sys.modules))" % (DEFERRED_SCIPY,))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
 
 
 def random_connected_graph(n, seed, eps):
