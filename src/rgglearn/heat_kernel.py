@@ -215,9 +215,14 @@ def rho_hat(density, domain, kernel, eps, x):
     """Kernel-smoothed density
     ======
 
-    Computes rho_hat_eps(x) = int_Omega eta_eps(|x-y|) rho(y) dy by
-    radial-angular product quadrature with per-direction exact clipping
-    at the domain boundary (the domain is convex).
+    Computes rho_hat_eps(x) = int_Omega eta_eps(|x-y|) rho(y) dy as a
+    weighted sum over directions u of the Gauss-Legendre integrals of
+    eta_eps(r) rho(x + r u) r^(d-1) over [0, min(eps, t_exit(u))], so each
+    ray is clipped exactly at the (convex) domain's boundary.  Directions:
+    u = -1, +1 for d = 1; Gauss-Legendre arcs split at the corner angles
+    and where t_exit = eps for d = 2; for d = 3, 48 Gauss-Legendre nodes in
+    cos(theta) times 96 azimuths offset by half a step, so none lies in a
+    coordinate plane and box faces, edges and corners cut no arc.
 
     Parameters
     ----------
@@ -238,21 +243,31 @@ def rho_hat(density, domain, kernel, eps, x):
         raise ValueError("x is outside the domain")
     d = domain.d
     if d == 1:
-        a = max(domain.lower[0], x[0] - eps)
-        b = min(domain.upper[0], x[0] + eps)
-        total = 0.0
-        for lo, hi in ((a, x[0]), (x[0], b)):
-            if hi <= lo:
-                continue
-            nodes, weights = _gauss_legendre(128)
-            y = 0.5 * (hi - lo) * nodes + 0.5 * (hi + lo)
-            w = 0.5 * (hi - lo) * weights
-            vals = kernel.eta_eps(np.abs(y - x[0]), eps) * density.evaluate(y[:, None])
-            total += float(vals @ w)
-        return total
+        return _clipped_rays(density, domain, kernel, eps, x,
+                             np.array([[-1.0], [1.0]]), np.ones(2), 128)
     if d == 2:
         return _rho_hat_2d(density, domain, kernel, eps, x)
-    return _rho_hat_3d(density, domain, kernel, eps, x)
+    un, uw = _gauss_legendre(48)
+    az = (np.arange(96) + 0.5) * (2 * np.pi / 96)
+    sin_t = np.sqrt(1 - un**2)
+    dirs = np.stack([np.outer(sin_t, np.cos(az)).ravel(),
+                     np.outer(sin_t, np.sin(az)).ravel(),
+                     np.repeat(un, az.size)], axis=1)
+    wdir = np.repeat(uw, az.size) * (2 * np.pi / az.size)
+    return _clipped_rays(density, domain, kernel, eps, x, dirs, wdir, 64)
+
+
+def _clipped_rays(density, domain, kernel, eps, x, dirs, wdir, n_r):
+    """sum_u wdir_u int_0^{min(eps, t_exit(u))} eta_eps(r) rho(x + r u) r^(d-1) dr,
+    each ray integral by n_r-node Gauss-Legendre."""
+    d = x.size
+    rn, rw = _gauss_legendre(n_r)
+    rmax = np.minimum(eps, domain.ray_exit(x, dirs))
+    r = 0.5 * rmax[:, None] * (rn[None, :] + 1.0)
+    wr = 0.5 * rmax[:, None] * rw[None, :]
+    pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
+    vals = kernel.eta_eps(r, eps) * density.evaluate(pts.reshape(-1, d)).reshape(r.shape)
+    return float(wdir @ np.sum(vals * r ** (d - 1) * wr, axis=1))
 
 
 def _exit_crossings(domain, x, eps, nscan=4096):
@@ -289,55 +304,14 @@ def _rho_hat_2d(density, domain, kernel, eps, x, n_theta=48, n_r=96):
     breaks.update([-np.pi, np.pi])
     angles = np.array(sorted(breaks))
     gn, gw = _gauss_legendre(n_theta)
-    rn, rw = _gauss_legendre(n_r)
     total = 0.0
     for a, b in zip(angles[:-1], angles[1:]):
         if b - a < 1e-14:
             continue
         th = 0.5 * (b - a) * gn + 0.5 * (a + b)
-        wth = 0.5 * (b - a) * gw
         dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        rmax = np.minimum(eps, domain.ray_exit(x, dirs))
-        # radial Gauss nodes per direction
-        r = 0.5 * rmax[:, None] * (rn[None, :] + 1.0)
-        wr = 0.5 * rmax[:, None] * rw[None, :]
-        pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
-        vals = kernel.eta_eps(r, eps) * density.evaluate(pts.reshape(-1, 2)).reshape(r.shape)
-        total += float(wth @ np.sum(vals * r * wr, axis=1))
+        total += _clipped_rays(density, domain, kernel, eps, x, dirs, 0.5 * (b - a) * gw, n_r)
     return total
-
-
-def _rho_hat_3d(density, domain, kernel, eps, x, n_u=48, n_az=96, n_r=64):
-    if domain.boundary_distance(x) >= eps:
-        # interior: spherical product quadrature, no clipping
-        un, uw = _gauss_legendre(n_u)
-        az = np.linspace(0.0, 2 * np.pi, n_az, endpoint=False)
-        rn, rw = _gauss_legendre(n_r)
-        r = 0.5 * eps * (rn + 1.0)
-        wr = 0.5 * eps * rw
-        sin_t = np.sqrt(1 - un**2)
-        dirs = np.stack([
-            np.outer(sin_t, np.cos(az)).ravel(),
-            np.outer(sin_t, np.sin(az)).ravel(),
-            np.repeat(un, n_az),
-        ], axis=1)
-        wdir = np.repeat(uw, n_az) * (2 * np.pi / n_az)
-        pts = x[None, None, :] + r[:, None, None] * dirs[None, :, :]
-        vals = density.evaluate(pts.reshape(-1, 3)).reshape(n_r, -1)
-        radial = kernel.eta_eps(r, eps) * r**2 * wr
-        return float(radial @ (vals @ wdir))
-    # near the boundary: fine midpoint grid over B(x,eps) intersected with
-    # the domain; adequate for the bounds this is used under
-    m = 128
-    ax = [np.linspace(x[i] - eps, x[i] + eps, m, endpoint=False) + eps / m
-          for i in range(3)]
-    pts = np.stack(np.meshgrid(*ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    inside = domain.contains(pts)
-    r = np.linalg.norm(pts - x, axis=1)
-    vals = np.zeros(pts.shape[0])
-    sel = inside & (r <= eps)
-    vals[sel] = kernel.eta_eps(r[sel], eps) * density.evaluate(pts[sel])
-    return float(vals.sum() * (2 * eps / m) ** 3)
 
 
 class GridField:
@@ -428,7 +402,7 @@ def repeated_average(density, domain, kernel, eps, x0, k, h):
     -------
     GridField
     """
-    from scipy.signal import fftconvolve  # deferred: scipy.signal is slow to import
+    from scipy.fft import irfftn, next_fast_len, rfftn  # deferred: scipy.fft is slow to import
 
     k = _step_count(k)
     x0 = np.asarray(x0, dtype=float)
@@ -442,13 +416,26 @@ def repeated_average(density, domain, kernel, eps, x0, k, h):
     rho = np.where(inside, rho, 0.0)
 
     stencil = _cell_average_axes(kernel, eps, h, domain.d) * h**domain.d
-    conv = lambda f: fftconvolve(f, stencil, mode="same")
+    # zero-padded linear convolution, cropped to the grid: the FFT sizes and
+    # crop of fftconvolve(f, stencil, mode="same"), with the stencil's
+    # transform taken once
+    m = (stencil.shape[0] - 1) // 2
+    fshape = [next_fast_len(s + 2 * m, real=True) for s in shape]
+    spec = rfftn(stencil, fshape)
+    crop = tuple(slice(m, m + s) for s in shape)
+    conv = lambda f: irfftn(rfftn(f, fshape) * spec, fshape)[crop]
     rho_hat_grid = conv(rho)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(rho_hat_grid > 0, rho / rho_hat_grid, 0.0)
 
-    # initial field: cell-averaged eta_eps centered at x0
-    phi = np.where(inside, _cell_average(kernel, eps, axes, x0, h, 4), 0.0)
+    # initial field: cell-averaged eta_eps centered at x0, evaluated only on
+    # the cells whose centre lies within eps + h of x0 along every axis
+    # (each cell's sub-cell midpoints lie within 3h/8 of its centre)
+    near = tuple(slice(np.searchsorted(ax, a - eps - h), np.searchsorted(ax, a + eps + h, "right"))
+                 for ax, a in zip(axes, x0))
+    phi = np.zeros(shape)
+    phi[near] = np.where(inside[near], _cell_average(
+        kernel, eps, [ax[sl] for ax, sl in zip(axes, near)], x0, h, 4), 0.0)
 
     for _ in range(k):
         phi = conv(c * phi)
