@@ -187,7 +187,7 @@ def main(argv=None):
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--out", required=True)
 
-    for name in ("converge", "mollify", "heat-asymptotics", "demo"):
+    for name in RUNNERS:
         p = sub.add_parser(name, help="experiment runner (config + overrides)")
         p.add_argument("--config", default=None)
 

@@ -2,7 +2,8 @@
 rate fits, and CSV artifacts.
 
 The four runners share one job pipeline, `_run_jobs`: each does its own
-set-up and passes a `measure` closure that fills the records of one job.
+set-up and passes a `measure` closure that fills the records of one job;
+`_run_jobs` runs the sweep and writes its results.csv and meta.txt.
 """
 
 import configparser
@@ -71,13 +72,11 @@ n_max = 100000
 k_rule = fixed
 k = 0
 k_list = 4 16 64 256
-drop_preasymptotic = 0
 
 [solver]
 tol = 1e-10
 ref_tol = 1e-10
 ref_h = 0
-heat_h = 0
 """
 
 
@@ -96,20 +95,27 @@ def _points(s):
 class ExperimentConfig:
     """Sweep configuration from an INI file plus --key value overrides.
 
-    Sections: [run] experiment/outdir/master_seed/seeds, [domain]
-    d/box/density/slope/kernel, [source] anchors/coefficients/center,
-    [ladder] eps/n_rule/n_list/n_const/n_power/n_max/k_rule/k/k_list/
-    drop_preasymptotic, [solver] tol/ref_tol/ref_h/heat_h.  Overrides use
-    'section.option' keys, or the bare option name when it is unambiguous.
+    The 24 keys of `DEFAULTS` are the schema: [run] experiment/outdir/
+    master_seed/seeds, [domain] d/box/density/slope/kernel, [source]
+    anchors/coefficients/center, [ladder] eps/n_rule/n_list/n_const/
+    n_power/n_max/k_rule/k/k_list, [solver] tol/ref_tol/ref_h.  File
+    entries, then overrides, are checked against it (KeyError for an
+    unknown section or option).  Overrides use 'section.option' keys, or
+    the bare option name when it is unambiguous.
     """
 
     def __init__(self, path=None, overrides=None):
         cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
         cp.read_string(DEFAULTS)
+        entries = []
         if path is not None:
+            fp = configparser.ConfigParser(inline_comment_prefixes=("#",),
+                                           interpolation=None)
             with open(path) as fh:
-                cp.read_file(fh)
-        for key, value in (overrides or {}).items():
+                fp.read_file(fh)
+            entries = [("%s.%s" % (s, o), v) for s in fp.sections()
+                       for o, v in fp.items(s)]
+        for key, value in entries + list((overrides or {}).items()):
             section, option = self._locate(cp, key)
             cp.set(section, option, str(value))
         self._cp = cp
@@ -135,12 +141,12 @@ class ExperimentConfig:
         src = cp["source"]
         self.anchors = _points(src.get("anchors"))
         self.coefficients = np.array(_floats(src.get("coefficients")))
-        for a in self.anchors:
-            if a.size != self.d:
-                raise ValueError("anchor dimension mismatch")
+        self.center = np.array(_floats(src.get("center")))
+        if any(p.size != self.d for p in self.anchors + [self.center]):
+            raise ValueError("anchor or center dimension mismatch: need %d numbers "
+                             "each" % self.d)
         if len(self.anchors) != self.coefficients.size:
             raise ValueError("anchor/coefficient count mismatch")
-        self.center = np.array(_floats(src.get("center")))
 
         lad = cp["ladder"]
         self.eps_list = _floats(lad.get("eps"))
@@ -156,15 +162,11 @@ class ExperimentConfig:
         self.k_rule = lad.get("k_rule").strip()
         self.k = lad.getint("k")
         self.k_list = _ints(lad.get("k_list"))
-        self.drop_preasymptotic = lad.getint("drop_preasymptotic")
-        if not 0 <= self.drop_preasymptotic <= 2:
-            raise ValueError("drop_preasymptotic must be 0, 1 or 2")
 
         sol = cp["solver"]
         self.tol = sol.getfloat("tol")
         self.ref_tol = sol.getfloat("ref_tol")
         self.ref_h = sol.getfloat("ref_h")
-        self.heat_h = sol.getfloat("heat_h")
 
     @staticmethod
     def _locate(cp, key):
@@ -184,6 +186,13 @@ class ExperimentConfig:
         if self.n_rule != "power":
             raise ValueError("unknown n_rule %r" % self.n_rule)
         return min(int(math.ceil(self.n_const * eps ** (-self.n_power))), self.n_max)
+
+    def ns_for(self, eps):
+        """The n ladder at eps: n_list under the list rule, else [n_for(eps)]."""
+        ns = self.n_list if self.n_rule == "list" else [self.n_for(eps)]
+        if not ns:
+            raise ValueError("empty n ladder")
+        return ns
 
     def k_for(self, eps):
         d = self.d
@@ -253,7 +262,6 @@ class RateRecord:
     moll_error: float = math.nan
     iterations: int = 0
     residual: float = 0.0
-    checks: dict = field(default_factory=dict)
 
     def csv_row(self):
         """The record's results.csv fields.  The runtime_s column stays blank
@@ -285,22 +293,6 @@ def _fmt(value):
     if math.isnan(value):
         return ""
     return "%.17g" % value
-
-
-def _write_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS) + "\n")
-
-
-def _write_meta(cfg, lines):
-    with open(os.path.join(cfg.outdir, "meta.txt"), "w") as fh:
-        fh.write("resolved config\n---------------\n")
-        fh.write(cfg.describe())
-        fh.write("\n")
-        for line in lines:
-            fh.write(line + "\n")
 
 
 def _aligned(g, values):
@@ -341,8 +333,11 @@ def _median_rows(records, key):
     return out
 
 
-def _run_jobs(cfg, rungs, measure, meta, seeds=None, points=None):
-    """Run every job of a sweep through one sample -> build -> measure loop.
+def _run_jobs(cfg, rungs, measure, meta, ladder_key=None, stat="l1", fit=True,
+              seeds=None, points=None):
+    """Run a sweep from start to finish: create cfg.outdir, run every job
+    through one sample -> build -> measure loop, then write results.csv and
+    meta.txt (see `_summarize` for ladder_key, stat and fit).
 
     A rung is (eps, n, ks).  Job j, counted over the rungs and then the
     seeds, samples n points with seed [master_seed, j], builds the
@@ -354,20 +349,20 @@ def _run_jobs(cfg, rungs, measure, meta, seeds=None, points=None):
     with `points` passed to cfg.checks, and one line per job.  `seeds`
     (default cfg.seeds) is the number of jobs per rung.
 
-    Returns a RunResult holding the records, the job count and the
-    failure messages.
+    Returns the RunResult: records, job count, failure messages, medians,
+    slope and the results.csv path.
     """
+    os.makedirs(cfg.outdir, exist_ok=True)
     seeds = cfg.seeds if seeds is None else seeds
     result = RunResult([])
     for eps, n, ks in rungs:
-        checks = [cfg.checks(n, eps, k, points=points) for k in ks]
-        for k, c in zip(ks, checks):
-            meta.append("point eps=%.17g n=%d k=%d: %s" % (
-                eps, n, k, " ".join("%s=%s" % item for item in c.items())))
+        for k in ks:
+            meta.append("point eps=%.17g n=%d k=%d: %s" % (eps, n, k, " ".join(
+                "%s=%s" % item for item in cfg.checks(n, eps, k, points=points).items())))
         per_seed = []
         for seed in range(seeds):
-            blank = lambda: [RateRecord(cfg.experiment, cfg.d, n, eps, k, seed,  # noqa: E731
-                                        checks=c) for k, c in zip(ks, checks)]
+            blank = lambda: [RateRecord(cfg.experiment, cfg.d, n, eps, k, seed)  # noqa: E731
+                             for k in ks]
             tag = "job %d (eps=%.17g n=%d seed=%d)" % (result.jobs, eps, n, seed)
             recs = blank()
             t0 = time.perf_counter()
@@ -385,7 +380,7 @@ def _run_jobs(cfg, rungs, measure, meta, seeds=None, points=None):
             per_seed.append(recs)
             result.jobs += 1
         result.records.extend(rec for row in zip(*per_seed) for rec in row)  # k-major
-    return result
+    return _summarize(cfg, result, meta, ladder_key, stat, fit)
 
 
 def run_convergence(config):
@@ -401,20 +396,17 @@ def run_convergence(config):
     when the k rule gives k >= 1.
     """
     cfg = config
-    if cfg.n_rule == "list":
-        if len(cfg.eps_list) == 1 and len(cfg.n_list) > 1:
-            # n ladder at fixed eps: medians keyed by n
-            pairs = [(cfg.eps_list[0], n) for n in cfg.n_list]
-            ladder_key = lambda r: r.n  # noqa: E731
-        elif len(cfg.n_list) == len(cfg.eps_list):
-            pairs = list(zip(cfg.eps_list, cfg.n_list))
-            ladder_key = lambda r: r.eps  # noqa: E731
-        else:
-            raise ValueError("n_list length must match the eps ladder")
-    else:
+    ladder_key = lambda r: r.eps  # noqa: E731
+    if cfg.n_rule != "list":
         pairs = [(eps, cfg.n_for(eps)) for eps in cfg.eps_list]
-        ladder_key = lambda r: r.eps  # noqa: E731
-    os.makedirs(cfg.outdir, exist_ok=True)
+    elif len(cfg.eps_list) == 1 and len(cfg.n_list) > 1:
+        # n ladder at fixed eps: medians keyed by n
+        pairs = [(cfg.eps_list[0], n) for n in cfg.n_list]
+        ladder_key = lambda r: r.n  # noqa: E731
+    elif len(cfg.n_list) == len(cfg.eps_list):
+        pairs = list(zip(cfg.eps_list, cfg.n_list))
+    else:
+        raise ValueError("n_list length must match the eps ladder")
     spec = cfg.source_spec()
 
     t0 = time.perf_counter()
@@ -441,8 +433,7 @@ def run_convergence(config):
         rec.residual = report.residual
 
     rungs = [(eps, n, [cfg.k_for(eps)]) for eps, n in pairs]
-    result = _run_jobs(cfg, rungs, measure, meta)
-    return _summarize(cfg, result, meta, ladder_key=ladder_key, stat="l1")
+    return _run_jobs(cfg, rungs, measure, meta, ladder_key=ladder_key)
 
 
 def run_mollification_rate(config):
@@ -461,8 +452,7 @@ def run_mollification_rate(config):
             raise ValueError("k must be >= 0")
         if k >= 1:
             scale_constants(cfg.d, k, eps)  # validates eps sqrt(k) <= 1
-    n = cfg.n_list[0] if cfg.n_rule == "list" else cfg.n_for(eps)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    n = cfg.ns_for(eps)[0]
     spec = cfg.source_spec()
 
     meta = ["columns: moll_error = (1/n) sum |u_graph - H_k u_graph|; "
@@ -478,9 +468,8 @@ def run_mollification_rate(config):
             rec.iterations = report.iterations
             rec.residual = report.residual
 
-    result = _run_jobs(cfg, [(eps, n, ks)], measure, meta)
-    return _summarize(cfg, result, meta,
-                      ladder_key=lambda r: r.eps * math.sqrt(r.k), stat="moll")
+    return _run_jobs(cfg, [(eps, n, ks)], measure, meta,
+                     ladder_key=lambda r: r.eps * math.sqrt(r.k), stat="moll")
 
 
 def run_heat_asymptotics(config):
@@ -499,21 +488,18 @@ def run_heat_asymptotics(config):
     k = cfg.k if cfg.k_rule == "fixed" else cfg.k_for(eps)
     if k < 1:
         raise ValueError("heat ladder needs k >= 1")
-    ns = cfg.n_list if cfg.n_rule == "list" else [cfg.n_for(eps)]
-    if not ns:
-        raise ValueError("empty n ladder")
+    ns = cfg.ns_for(eps)
     sc = scale_constants(cfg.d, k, eps)
     x0 = cfg.center
     if cfg.domain.boundary_distance(x0) < sc.R_k:
         raise ValueError("center too close to the boundary: need B(x, R_k) inside, "
                          "R_k = %.4g" % sc.R_k)
-    os.makedirs(cfg.outdir, exist_ok=True)
 
     meta = ["columns: l1_error = (1/n) sum |H_k - rho_hat^-1 M^(k-1) eta|; "
             "moll_error = (1/n) sum |H_k - rho^-1 psi_k|; "
             "residual = |mass - 1|"]
     t0 = time.perf_counter()
-    h = cfg.heat_h if cfg.heat_h > 0 else eps / 8.0
+    h = eps / 8.0
     avg = repeated_average(cfg.density, cfg.domain, cfg.kernel, eps, x0, k - 1, h)
     rh = rho_hat(cfg.density, cfg.domain, cfg.kernel, eps, x0)
     psi = psi_table(cfg.kernel, cfg.d, k, eps)
@@ -535,8 +521,8 @@ def run_heat_asymptotics(config):
         rec.l1_error = float(np.mean(np.abs(hvals - sur_a)))
         rec.moll_error = float(np.mean(np.abs(hvals - sur_b)))
 
-    result = _run_jobs(cfg, [(eps, n, [k]) for n in ns], measure, meta, points=[x0])
-    return _summarize(cfg, result, meta, ladder_key=lambda r: r.n, stat="l1", fit=False)
+    return _run_jobs(cfg, [(eps, n, [k]) for n in ns], measure, meta,
+                     ladder_key=lambda r: r.n, fit=False, points=[x0])
 
 
 def demo_two_point(config):
@@ -556,8 +542,7 @@ def demo_two_point(config):
     if sorted(values) != [-1.0, 1.0]:
         raise ValueError("demo labels must be +1 and -1")
     eps = cfg.eps_list[0]
-    n = cfg.n_list[0] if cfg.n_rule == "list" else cfg.n_for(eps)
-    os.makedirs(cfg.outdir, exist_ok=True)
+    n = cfg.ns_for(eps)[0]
     gap = abs(values[0] - values[1])
 
     meta = ["columns: l1_error = Laplace spike fraction; moll_error = Poisson "
@@ -589,13 +574,16 @@ def demo_two_point(config):
                            (np.arange(g.n), f.values), ("%d", "%.17g"), nan="")
         meta.append("laplace band half-width = %.17g (0.05 * gap)" % (0.05 * gap))
 
-    result = _run_jobs(cfg, [(eps, n, [cfg.k])], measure, meta, seeds=1)
-    return _summarize(cfg, result, meta, ladder_key=None, fit=False)
+    return _run_jobs(cfg, [(eps, n, [cfg.k])], measure, meta, seeds=1)
 
 
-def _summarize(cfg, result, meta, ladder_key, stat="l1", fit=True):
-    """Fill in the medians and slope of a run from _run_jobs, then write
-    results.csv (data rows plus an optional slope row) and meta.txt."""
+def _summarize(cfg, result, meta, ladder_key, stat, fit):
+    """Fill in a run's medians and slope, then write results.csv (data rows
+    plus an optional slope row) and meta.txt.
+
+    ladder_key(record) groups the records into ladder points (None: no
+    medians); stat, "l1" or "moll", names the error whose medians are kept
+    and fitted; fit asks for the log-log slope."""
     rows = [r.csv_row() for r in result.records]
 
     if ladder_key is not None:
@@ -607,29 +595,33 @@ def _summarize(cfg, result, meta, ladder_key, stat="l1", fit=True):
             meta.append("median at x = %.17g: l1 %.17g, moll %.17g"
                         % (key, m_l1, m_moll))
         if fit:
-            xs = sorted(result.medians, reverse=True)
-            drop = cfg.drop_preasymptotic
             # log-log fit needs positive abscissae and medians (k=0 rungs
             # are exact identities, not rate information)
-            kept = [x for x in xs[drop:] if x > 0 and result.medians[x] > 0]
+            kept = [x for x in sorted(result.medians, reverse=True)
+                    if x > 0 and result.medians[x] > 0]
             if len(kept) >= 4:
                 slope, band = fit_slope(kept, [result.medians[x] for x in kept])
                 result.slope, result.slope_band = slope, band
                 rows.append({"experiment": cfg.experiment, "d": cfg.d,
                              "slope": slope})
-                meta.append("slope %.17g (half band %.3g) on %d points, "
-                            "%d largest dropped" % (slope, band, len(kept), drop))
+                meta.append("slope %.17g (half band %.3g) on %d points"
+                            % (slope, band, len(kept)))
             else:
-                meta.append("slope skipped: only %d ladder points after "
-                            "dropping %d" % (len(kept), drop))
+                meta.append("slope skipped: only %d positive ladder points"
+                            % len(kept))
 
     if result.failures:
         meta.append("failures:")
         meta.extend("  " + f for f in result.failures)
 
     result.csv_path = os.path.join(cfg.outdir, "results.csv")
-    _write_csv(result.csv_path, rows)
-    _write_meta(cfg, meta)
+    with open(result.csv_path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(",".join(_fmt(row.get(c)) for c in CSV_COLUMNS) + "\n"
+                      for row in rows)
+    with open(os.path.join(cfg.outdir, "meta.txt"), "w") as fh:
+        fh.write("resolved config\n---------------\n%s\n" % cfg.describe())
+        fh.writelines(line + "\n" for line in meta)
     return result
 
 

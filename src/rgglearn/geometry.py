@@ -584,8 +584,11 @@ def _cell_grid(domain, h):
 
 
 def closest_point(x, g):
-    """Index of the graph node closest to x; ties break to the smallest index."""
+    """Index of the graph node closest to x; ties break to the smallest index.
+    ValueError unless x has shape (g.d,)."""
     x = np.asarray(x, dtype=float)
+    if x.shape != (g.d,):
+        raise ValueError("point of shape %s on a %d-d graph" % (x.shape, g.d))
     return int(np.argmin(np.linalg.norm(g.points - x, axis=1)))
 
 

@@ -105,9 +105,15 @@ def _walk_power(g, step, v, k):
     return out
 
 
-def _propagate(g, v, steps):
+def _walk(g, v, k, adjoint):
+    """k random-walk steps of v: W D^-1 on columns (adjoint) or D^-1 W on
+    functions; ValueError on a zero-degree node, RuntimeError on a
+    non-finite result."""
     deg = g.degrees
-    v = _walk_power(g, lambda x: g.wmul(x / deg), v, steps)
+    if np.any(deg == 0):
+        raise ValueError("zero-degree node; random-walk propagation undefined")
+    step = (lambda x: g.wmul(x / deg)) if adjoint else (lambda x: g.wmul(x) / deg)
+    v = _walk_power(g, step, v, k)
     if not np.all(np.isfinite(v)):
         raise RuntimeError("heat propagation produced non-finite values")
     return v
@@ -140,16 +146,13 @@ def heat_column(g, x, k):
     HeatColumn
     """
     k = _step_count(k)
-    if np.any(g.degrees == 0):
-        raise ValueError("zero-degree node; random-walk propagation undefined")
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
         xi = int(x)
         if not 0 <= xi < g.n:
             raise IndexError("node index out of range")
         v = np.zeros(g.n)
         v[xi] = g.n
-        v = _propagate(g, v, k)
-        return HeatColumn(xi, k, GraphFunction(g, v))
+        return HeatColumn(xi, k, GraphFunction(g, _walk(g, v, k, adjoint=True)))
     x = np.asarray(x, dtype=float)
     if x.shape != (g.d,):
         raise ValueError("point center must have shape (d,)")
@@ -162,8 +165,7 @@ def heat_column(g, x, k):
     deg_x = w.sum()
     if deg_x == 0:
         raise ValueError("no node within eps of the center point")
-    v = g.n * w / deg_x
-    v = _propagate(g, v, k - 1)
+    v = _walk(g, g.n * w / deg_x, k - 1, adjoint=True)
     return HeatColumn(x, k, GraphFunction(g, v))
 
 
@@ -180,14 +182,8 @@ def heat_convolve(g, k, u):
     2^-53 ||u||_inf.
     """
     k = _step_count(k)
-    deg = g.degrees
-    if np.any(deg == 0):
-        raise ValueError("zero-degree node; random-walk propagation undefined")
     v = np.array(u.values if isinstance(u, GraphFunction) else u, dtype=float)
-    v = _walk_power(g, lambda x: g.wmul(x) / deg, v, k)
-    if not np.all(np.isfinite(v)):
-        raise RuntimeError("heat convolution produced non-finite values")
-    return GraphFunction(g, v)
+    return GraphFunction(g, _walk(g, v, k, adjoint=False))
 
 
 def smooth_poisson(g, u, s, k):
@@ -207,7 +203,7 @@ def smooth_poisson(g, u, s, k):
         raise ValueError("u does not solve the graph Poisson problem for s")
     uk = heat_convolve(g, k, u)
     # f_k = P^k f with P = W D^{-1}, identical to summing columns H_k^{tau(x)}
-    fk = _propagate(g, f.values.copy(), k)
+    fk = _walk(g, f.values.copy(), k, adjoint=True)
     return uk, GraphFunction(g, fk)
 
 

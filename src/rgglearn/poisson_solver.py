@@ -30,7 +30,8 @@ class SourceSpec:
     coefficients : (m,) array-like
         Source coefficients a_x with sum a_x = 0 (within 1e-14).
     domain : Box or Disk, optional
-        If given, every anchor must lie strictly inside it.
+        If given, every anchor must have its dimension and lie strictly
+        inside it.
     """
 
     def __init__(self, anchors, coefficients, domain=None):
@@ -43,6 +44,9 @@ class SourceSpec:
         if total > 1e-14 * scale:
             raise ValueError("source coefficients must sum to zero (got %.3g)" % total)
         if domain is not None:
+            if self.anchors.shape[1] != domain.d:
+                raise ValueError("anchors have dimension %d, the domain %d"
+                                 % (self.anchors.shape[1], domain.d))
             for x in self.anchors:
                 if not domain.contains(x) or domain.boundary_distance(x) <= 0:
                     raise ValueError("anchor %s is not strictly inside the domain" % (x,))

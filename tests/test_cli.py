@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rgglearn.cli import main
+from rgglearn.experiments import RUNNERS, RunResult
 from rgglearn.graph_core import load_graph
 from rgglearn.heat_kernel import heat_column
 
@@ -103,6 +104,34 @@ def test_continuum(tmp_path):
     with pytest.raises(SystemExit):
         main(["continuum", "--domain", "disk", "--h", "0.025",
               "--sources", src, "--out", str(out)])
+
+
+def test_sources_of_the_wrong_dimension_are_rejected(tmp_path):
+    # one-coordinate anchors against a 2-d graph and a 2-d box
+    gfile = tmp_path / "g.csv"
+    main(["sample", "--n", "300", "--eps", "0.2", "--seed", "2",
+          "--out", str(tmp_path / "p.csv"), "--graph-out", str(gfile)])
+    src = tmp_path / "src1.csv"
+    src.write_text("x0,a\n0.3,1\n0.7,-1\n")
+    with pytest.raises(ValueError, match="shape"):
+        main(["solve", "--graph", str(gfile), "--sources", str(src),
+              "--out", str(tmp_path / "u.csv")])
+    with pytest.raises(ValueError, match="dimension"):
+        main(["continuum", "--h", "0.025", "--sources", str(src),
+              "--out", str(tmp_path / "ref.csv")])
+
+
+def test_experiment_subcommands_follow_the_runner_registry(tmp_path, monkeypatch):
+    # a runner added to RUNNERS is a subcommand with no other change
+    seen = []
+
+    def probe(cfg):
+        seen.append(cfg.experiment)
+        return RunResult([], csv_path=str(tmp_path / "results.csv"))
+
+    monkeypatch.setitem(RUNNERS, "probe", probe)
+    assert main(["probe", "--run.outdir", str(tmp_path)]) == 0
+    assert seen == ["probe"]
 
 
 def test_experiment_subcommand(tmp_path):

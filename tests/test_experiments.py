@@ -41,6 +41,7 @@ def test_defaults():
     assert cfg.experiment == "converge"
     assert len(cfg.anchors) == 2
     assert cfg.coefficients.tolist() == [1.0, -1.0]
+    assert sum(len(cfg._cp.options(s)) for s in cfg._cp.sections()) == 24
 
 
 def test_overrides_dotted_and_bare():
@@ -51,6 +52,9 @@ def test_overrides_dotted_and_bare():
         ExperimentConfig(overrides={"no_such_key": "1"})
     with pytest.raises(KeyError):
         ExperimentConfig(overrides={"run.no_such_option": "1"})
+    for removed in ("solver.heat_h", "ladder.drop_preasymptotic"):
+        with pytest.raises(KeyError):
+            ExperimentConfig(overrides={removed: "0"})
 
 
 def test_config_file(tmp_path):
@@ -63,6 +67,18 @@ def test_config_file(tmp_path):
     assert cfg.n_const == 77.0
 
 
+@pytest.mark.parametrize("text, key", [
+    ("[ladder]\nn_cosnt = 800\n", "ladder.n_cosnt"),
+    ("[solvr]\ntol = 1e-3\n", "solvr.tol"),
+], ids=["option", "section"])
+def test_config_file_keys_are_checked(tmp_path, text, key):
+    # a config file meets the same key check as --section.key overrides
+    path = tmp_path / "sweep.ini"
+    path.write_text(text)
+    with pytest.raises(KeyError, match=key):
+        ExperimentConfig(str(path))
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(overrides={"run.seeds": "0"})
@@ -73,11 +89,16 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(overrides={"domain.box": "0 1"})
     with pytest.raises(ValueError):
-        ExperimentConfig(overrides={"ladder.drop_preasymptotic": "3"})
-    with pytest.raises(ValueError):
         ExperimentConfig(overrides={"source.coefficients": "1 -1 0"})
     with pytest.raises(ValueError):
         ExperimentConfig(overrides={"source.anchors": "0.3 ; 0.7"})
+    with pytest.raises(ValueError, match="center"):
+        ExperimentConfig(overrides={"source.center": "0.5"})
+    # a 2-number center on a d = 1 box used to broadcast in the heat runner
+    with pytest.raises(ValueError, match="center"):
+        ExperimentConfig(overrides={"domain.d": "1", "domain.box": "0 12.5",
+                                    "source.anchors": "3 ; 9",
+                                    "source.center": "6.25 6.25"})
 
 
 def test_n_and_k_rules():
@@ -96,6 +117,12 @@ def test_n_and_k_rules():
     assert cor53.k_for(0.1) == 40  # ceil(0.1^(-8/5))
     with pytest.raises(ValueError):
         ExperimentConfig(overrides={"ladder.n_rule": "nope"}).n_for(0.1)
+    assert cfg.ns_for(0.2) == [2500]
+    listed = ExperimentConfig(overrides={"ladder.n_rule": "list",
+                                         "ladder.n_list": "300 500"})
+    assert listed.ns_for(0.2) == [300, 500]
+    with pytest.raises(ValueError, match="empty n ladder"):
+        ExperimentConfig(overrides={"ladder.n_rule": "list"}).ns_for(0.2)
 
 
 def test_reference_h():
@@ -210,14 +237,14 @@ def test_convergence_gauge(tmp_path):
     assert abs(weighted_mean(g.func(aligned))) <= 1e-10 * np.abs(aligned).max()
 
 
-def mollify_config(tmp_path, coeffs="1 -1", ks="0 2 4"):
+def mollify_config(tmp_path, coeffs="1 -1", ks="0 2 4", **extra):
     return make_config(tmp_path, **{"run.experiment": "mollify",
                                     "run.seeds": "2",
                                     "source.coefficients": coeffs,
                                     "ladder.eps": "0.3",
                                     "ladder.n_const": "400",
                                     "ladder.n_power": "0",
-                                    "ladder.k_list": ks})
+                                    "ladder.k_list": ks, **extra})
 
 
 def test_mollify_k0_is_exact(tmp_path):
@@ -248,6 +275,17 @@ def test_mollify_k_list_validation(tmp_path):
 def test_mollify_empty_k_list_rejected(tmp_path):
     with pytest.raises(ValueError, match="non-empty"):
         run_mollification_rate(mollify_config(tmp_path, ks=""))
+
+
+def test_empty_n_ladder_rejected(tmp_path):
+    # under the list rule with no n_list, no runner starts a job
+    keys = {"ladder.n_rule": "list", "ladder.n_list": ""}
+    with pytest.raises(ValueError, match="empty n ladder"):
+        run_mollification_rate(mollify_config(tmp_path / "m", **keys))
+    with pytest.raises(ValueError, match="empty n ladder"):
+        demo_two_point(demo_config(tmp_path / "d", **keys))
+    with pytest.raises(ValueError, match="empty n ladder"):
+        run_heat_asymptotics(heat_config(tmp_path / "h", n_list=""))
 
 
 def test_mollify_failures_counted_per_seed(tmp_path):

@@ -439,6 +439,8 @@ def test_closest_point():
     assert closest_point(np.array([1.0]), g) == 1
     assert closest_point(np.array([0.5]), g) == 0  # tie -> lower index
     assert closest_point(np.array([2.9]), g) == 2
+    with pytest.raises(ValueError, match="shape"):
+        closest_point(np.array([1.0, 0.0]), g)
 
 
 def test_closest_point_matches_scan():
@@ -452,6 +454,8 @@ def test_closest_point_matches_scan():
         i = closest_point(x, g)
         j = int(np.argmin(np.linalg.norm(pts - x, axis=1)))
         assert i == j
+    with pytest.raises(ValueError, match="shape"):
+        closest_point([0.3], g)
 
 
 def test_domain_helpers():

@@ -61,6 +61,8 @@ def test_source_spec_validation():
         SourceSpec([[0.3, 0.3], [1.2, 0.7]], [1.0, -1.0], domain=box)
     with pytest.raises(ValueError):
         SourceSpec([[0.3, 0.3]], [1.0, -1.0])
+    with pytest.raises(ValueError, match="dimension"):
+        SourceSpec([[0.3], [0.7]], [1.0, -1.0], domain=box)
 
 
 def test_assemble_source_merges_collisions():
