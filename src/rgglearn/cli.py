@@ -10,6 +10,7 @@ from .geometry import (
     Box,
     Disk,
     build_graph,
+    closest_point,
     make_density,
     make_kernel,
     sample_points,
@@ -66,6 +67,10 @@ def _cmd_sample(args):
 def _cmd_solve(args):
     g = load_graph(args.graph)
     spec = _load_sources(args.sources)
+    # a graph file records no domain: each anchor needs a node within eps
+    for x in spec.anchors:
+        if not np.linalg.norm(g.points[closest_point(x, g)] - x) <= g.eps:
+            raise SystemExit("anchor %s has no node within eps = %g" % (x, g.eps))
     u, report = solve_graph_poisson(g, spec, tol=args.tol)
     _write_nodes(args.out, u.values)
     print("wrote %s (iters=%d, residual=%.3g)"

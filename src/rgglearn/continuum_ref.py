@@ -173,14 +173,12 @@ def solve_weighted_poisson(grid, f, tol=1e-10):
     grid : ReferenceGrid
     f : GridFunction or SourceSpec
     tol : float
-        Relative residual target.
+        Relative residual target; must be positive.
 
     Returns
     -------
     GridFunction
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     hd = grid.h**grid.d
     if isinstance(f, SourceSpec):
         b = _deposit(grid, f)
@@ -189,11 +187,8 @@ def solve_weighted_poisson(grid, f, tol=1e-10):
     total = b.sum() * hd
     if abs(total) > 1e-10 * max(1.0, np.abs(b).sum() * hd):
         raise ValueError("incompatible source: cell-volume integral %g is not zero" % total)
-    b = b.ravel()
-    if np.linalg.norm(b) == 0.0:
-        return GridFunction(grid, np.zeros(grid.shape))
     shape = grid.shape
-    x, _, _ = _gauged_cg(lambda v: grid.apply(v.reshape(shape)).ravel(), b,
+    x, _, _ = _gauged_cg(lambda v: grid.apply(v.reshape(shape)).ravel(), b.ravel(),
                          grid.stencil_diagonal().ravel(), grid.rho2.ravel() * hd, tol,
                          200 * int(np.sum(shape)))
     return GridFunction(grid, x)

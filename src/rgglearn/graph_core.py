@@ -63,10 +63,6 @@ _SPLIT_MIN_NNZ = 100_000
 # copy of the upper triangle (12 bytes per stored entry).
 _SPAN_PER_ROW = 8
 
-# Graph._cell_aggregates sums the edge weights in blocks of at least this many
-# stored entries, so its temporaries stay bounded whatever nnz is.
-_AGGREGATE_BLOCK_NNZ = 1 << 18
-
 _worker_lock = threading.Lock()
 _worker = None  # (pid, ThreadPoolExecutor) of the process that created it
 
@@ -412,7 +408,10 @@ class Graph:
         Returns (agg, M): agg[k] in 0..m-1 is the aggregate of nodes[k], and
         M[a, b] sums the stored weights w_ij, i < j, over the edges with i in
         aggregate a and j in aggregate b.  Edges that touch a node outside
-        `nodes` are left out.
+        `nodes` are left out.  M is P^T U P with U the stored upper triangle
+        and P the one-hot (n, m+1) matrix of the aggregates, the last column
+        collecting the nodes outside `nodes`.  U P holds at most one entry
+        per row and neighbouring cell, 3^d for a graph of bandwidth eps.
         """
         upper = self._upper
         cap = max(1.0, math.sqrt(upper.nnz))
@@ -430,21 +429,11 @@ class Graph:
             if m <= cap:
                 break
             cells //= 2
-        # nodes outside `nodes` go to a dummy aggregate m, dropped at the end
         full = np.full(self.n, m, dtype=np.int64)
         full[nodes] = agg
-        # each block's bincount spans (m+1)^2 bins, so a block holds at
-        # least that many entries and the total work stays O(nnz + m^2)
-        block = max(_AGGREGATE_BLOCK_NNZ, (m + 1) ** 2)
-        indptr = upper.indptr
-        rows = np.unique(np.concatenate(
-            ([0], np.searchsorted(indptr, np.arange(block, upper.nnz, block)), [self.n])))
-        M = np.zeros((m + 1) ** 2)
-        for a, b in zip(rows[:-1], rows[1:]):
-            key = np.repeat(full[a:b] * (m + 1), np.diff(indptr[a:b + 1]))
-            key += full[upper.indices[indptr[a]:indptr[b]]]
-            M += np.bincount(key, upper.data[indptr[a]:indptr[b]], minlength=(m + 1) ** 2)
-        return agg, M.reshape(m + 1, m + 1)[:m, :m]
+        P = sparse.csr_matrix((np.ones(self.n), full, np.arange(self.n + 1)),
+                              shape=(self.n, m + 1))
+        return agg, (P.T @ (upper @ P)).toarray()[:m, :m]
 
     def func(self, values):
         return GraphFunction(self, values)

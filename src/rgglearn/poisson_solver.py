@@ -7,8 +7,10 @@ extension of boundary labels), and Poisson-reweighted Laplace learning
 factor gamma).  All linear solves use preconditioned conjugate gradients.
 The singular ones (graph Poisson, gamma, and the continuum reference in
 continuum_ref) share `_gauged_cg`, which keeps the iterates in a
-weighted-mean-zero gauge and preconditions with Jacobi.  Laplace learning
-adds a coarse correction on cells of side eps to Jacobi (`_two_level`).
+weighted-mean-zero gauge, preconditions with Jacobi and holds the guards
+of all three.  Graph Poisson and gamma, one operator up to scale, reach it
+through `_solve_graph_laplacian`.  Laplace learning adds a coarse
+correction on cells of side eps to Jacobi (`_two_level`).
 """
 
 import time
@@ -26,9 +28,9 @@ class SourceSpec:
     Parameters
     ----------
     anchors : (m,d) array-like
-        Continuum anchor locations.
+        Finite continuum anchor locations.
     coefficients : (m,) array-like
-        Source coefficients a_x with sum a_x = 0 (within 1e-14).
+        Finite source coefficients a_x with sum a_x = 0 (within 1e-14).
     domain : Box or Disk, optional
         If given, every anchor must have its dimension and lie strictly
         inside it.
@@ -39,6 +41,8 @@ class SourceSpec:
         self.coefficients = np.asarray(coefficients, dtype=float)
         if self.anchors.shape[0] != self.coefficients.size:
             raise ValueError("anchor/coefficient count mismatch")
+        if not (np.all(np.isfinite(self.anchors)) and np.all(np.isfinite(self.coefficients))):
+            raise ValueError("anchors and coefficients must be finite")
         total = abs(self.coefficients.sum())
         scale = max(1.0, np.abs(self.coefficients).sum())
         if total > 1e-14 * scale:
@@ -185,10 +189,18 @@ def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
     kernel (a Neumann or graph Laplacian) and diag is its diagonal.  The
     iterates are projected onto the gauge weights @ x = 0 and CG stops when
     ||b - A x||_2 <= tol ||b||_2.  Returns (x, iterations, residual norm).
+    Before the first matvec it rejects a tol that is not positive or a
+    non-finite b with ValueError, and returns (0, 0, 0.0) for b = 0.
     """
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("the source has non-finite values")
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0, 0.0
     precond = _jacobi(diag)
     del diag  # the caller's temporary: free it before the iteration starts
-    bnorm = np.linalg.norm(b)
     wsum = weights.sum()
 
     def project(v):
@@ -196,6 +208,15 @@ def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
 
     check = lambda r: np.linalg.norm(r) <= tol * bnorm
     return _pcg(matvec, b, check, x0=x0, precond=precond, project=project, maxiter=maxiter)
+
+
+def _solve_graph_laplacian(g, b, scale, tol, x0=None):
+    """_gauged_cg on (D - W) x / scale = b, gauged by the degrees of the connected g."""
+    if not g.connected:
+        raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
+    deg = g.degrees
+    return _gauged_cg(lambda v: (deg * v - g.wmul(v)) / scale, b,
+                      (deg - g.self_weights) / scale, deg, tol, 10 * g.n, x0=x0)
 
 
 def solve_graph_poisson(g, s, tol=1e-10, x0=None):
@@ -219,18 +240,9 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     -------
     (GraphFunction, SolveReport)
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if not g.connected:
-        raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
     t0 = time.perf_counter()
     b = assemble_source(g, s).values
-    if np.linalg.norm(b) == 0.0:
-        return GraphFunction(g, np.zeros(g.n)), SolveReport(0, 0.0, time.perf_counter() - t0)
-    deg = g.degrees
-    scale = g.sigma_eta * g.eps**2 * (g.n - 1)
-    x, iters, res = _gauged_cg(lambda v: (deg * v - g.wmul(v)) / scale, b,
-                               (deg - g.self_weights) / scale, deg, tol, 10 * g.n, x0=x0)
+    x, iters, res = _solve_graph_laplacian(g, b, g.sigma_eta * g.eps**2 * (g.n - 1), tol, x0)
     return GraphFunction(g, x), SolveReport(iters, res, time.perf_counter() - t0)
 
 
@@ -272,7 +284,7 @@ def solve_laplace_learning(g, labels, tol=1e-9):
     tol : float
         Bound on the mean-value-property residual; must be positive.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     idx, vals = _collect_labels(g, labels)
     comp = g.component_labels()
@@ -308,18 +320,10 @@ def pwll_gamma(g, label_nodes, tol=1e-10):
     label set, then shifts so min gamma = 1.  tol is the relative residual
     target and must be positive.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     nodes = sorted(set(int(z) for z in label_nodes))
     q = np.full(g.n, -float(len(nodes)) / g.n)
     q[nodes] += 1.0
-    if np.linalg.norm(q) == 0.0:
-        return GraphFunction(g, np.ones(g.n))
-    if not g.connected:
-        raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
-    deg = g.degrees
-    x, _, _ = _gauged_cg(lambda v: deg * v - g.wmul(v), q, deg - g.self_weights, deg,
-                         tol, 10 * g.n)
+    x, _, _ = _solve_graph_laplacian(g, q, 1.0, tol)
     return GraphFunction(g, x - x.min() + 1.0)
 
 

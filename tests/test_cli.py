@@ -121,6 +121,21 @@ def test_sources_of_the_wrong_dimension_are_rejected(tmp_path):
               "--out", str(tmp_path / "ref.csv")])
 
 
+def test_solve_rejects_anchors_with_no_node_within_eps(tmp_path):
+    # a graph file records no domain; such anchors used to go to their
+    # nearest node, and the solve wrote u.csv and exited 0
+    gfile = tmp_path / "g.csv"
+    main(["sample", "--n", "300", "--eps", "0.2", "--seed", "2",
+          "--out", str(tmp_path / "p.csv"), "--graph-out", str(gfile)])
+    src = tmp_path / "src.csv"
+    ufile = tmp_path / "u.csv"
+    for anchor, error in (("5,5", SystemExit), ("-3,0.5", SystemExit), ("nan,0.5", ValueError)):
+        src.write_text("x0,x1,a\n%s,1\n0.5,0.5,-1\n" % anchor)
+        with pytest.raises(error, match="no node within|finite"):
+            main(["solve", "--graph", str(gfile), "--sources", str(src), "--out", str(ufile)])
+        assert not ufile.exists()
+
+
 def test_experiment_subcommands_follow_the_runner_registry(tmp_path, monkeypatch):
     # a runner added to RUNNERS is a subcommand with no other change
     seen = []

@@ -222,6 +222,26 @@ def test_greens_gauge_reciprocity_superposition():
     assert np.max(np.abs(us.values - (Gx.values - Gy.values))) < 1e-8
 
 
+@pytest.mark.parametrize("bad, tol, match", [
+    (np.nan, 1e-10, "non-finite"),
+    (np.inf, 1e-10, "non-finite"),
+    (0.0, 0.0, "tol must be positive"),
+], ids=["nan-source", "inf-source", "zero-tol"])
+def test_broken_inputs_fail_before_any_apply(bad, tol, match):
+    # a nan source used to run all 200 * 64 CG iterations at h = 1/32 and an
+    # infinite one returned u = 0 after a first apply
+    box = Box([0, 0], [1, 1])
+    grid = build_grid(box, 1.0 / 32, make_density("constant", box))
+    counted = []
+    apply = grid.apply
+    grid.apply = lambda u: counted.append(1) or apply(u)
+    f = np.zeros(grid.shape)
+    f[3, 4] = bad
+    with pytest.raises(ValueError, match=match):
+        solve_weighted_poisson(grid, GridFunction(grid, f), tol=tol)
+    assert counted == []
+
+
 def test_incompatible_source_rejected():
     box = Box([0, 0], [1, 1])
     g = build_grid(box, 0.125, make_density("constant", box))

@@ -611,13 +611,10 @@ def _dense_aggregate_weights(g, nodes, agg, m):
     return P.T @ np.triu(g.weight_matrix().toarray(), 1) @ P
 
 
-@pytest.mark.parametrize("block", [None, 1])
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_cell_aggregates_sum_the_stored_weights(monkeypatch, d, block):
+def test_cell_aggregates_sum_the_stored_weights(d):
     from rgglearn.geometry import build_graph, make_kernel
 
-    if block is not None:  # many blocks of rows
-        monkeypatch.setattr(graph_core, "_AGGREGATE_BLOCK_NNZ", block)
     rng = np.random.default_rng(d)
     g = build_graph(rng.random((300, d)), 0.3, make_kernel("cone", d))
     g = g.reweighted(1.0 + rng.random(g.n))

@@ -63,6 +63,15 @@ def test_source_spec_validation():
         SourceSpec([[0.3, 0.3]], [1.0, -1.0])
     with pytest.raises(ValueError, match="dimension"):
         SourceSpec([[0.3], [0.7]], [1.0, -1.0], domain=box)
+    # unchecked, infinite coefficients made the graph Poisson solve return
+    # u = 0 after 0 iterations, nan ones ran CG to maxiter, and a nan anchor
+    # went to node 0
+    for anchors, coefficients in (([[0.3, 0.5], [0.7, 0.5]], [np.inf, -np.inf]),
+                                  ([[0.3, 0.5], [0.7, 0.5]], [np.nan, np.nan]),
+                                  ([[np.nan, 0.5], [0.7, 0.5]], [1.0, -1.0])):
+        for domain in (None, box):
+            with pytest.raises(ValueError, match="finite"):
+                SourceSpec(anchors, coefficients, domain)
 
 
 def test_assemble_source_merges_collisions():
@@ -153,6 +162,11 @@ def test_disconnected_graph_rejected():
     s = SourceSpec([[0.0], [1.0]], [1.0, -1.0])
     with pytest.raises(ValueError):
         solve_graph_poisson(g, s, tol=1e-10)
+    # gamma's source is zero with no label or every node labeled; it used
+    # to return ones without looking at the graph
+    for label_nodes in ([], [0, 1]):
+        with pytest.raises(ValueError, match="disconnected"):
+            pwll_gamma(g, label_nodes)
 
 
 def test_laplace_three_node_path():
@@ -434,14 +448,16 @@ def test_window_graph_solves_and_smooths_without_the_csr(monkeypatch):
     assert calls == [1]  # built once, on first read
 
 
-@pytest.mark.parametrize("tol", [0.0, -1.0])
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan])
 @pytest.mark.parametrize("solve", [
     lambda g, tol: solve_laplace_learning(g, [(0, 1.0), (20, -1.0)], tol=tol),
     lambda g, tol: pwll_gamma(g, [0, 20], tol=tol),
     lambda g, tol: solve_pwll(g, [(0, 1.0), (20, -1.0)], tol=tol),
-], ids=["solve_laplace_learning", "pwll_gamma", "solve_pwll"])
+    lambda g, tol: solve_graph_poisson(g, SourceSpec([g.points[0], g.points[20]], [1.0, -1.0]),
+                                       tol=tol),
+], ids=["solve_laplace_learning", "pwll_gamma", "solve_pwll", "solve_graph_poisson"])
 def test_nonpositive_tol_fails_before_any_matvec(solve, tol):
-    # a tolerance <= 0 is unreachable: CG would spin to maxiter = 10 n
+    # a tolerance <= 0, or nan, is unreachable: CG would spin to maxiter = 10 n
     g = small_geometric_graph()
     calls = []
     wmul = g.wmul
