@@ -11,7 +11,6 @@ delta_y - rho^2 / int rho^2.
 """
 
 import numpy as np
-from scipy import sparse
 
 from .geometry import Box, _cell_grid
 from .graph_core import _write_columns
@@ -84,6 +83,8 @@ class ReferenceGrid:
 
     def operator_matrix(self):
         """Sparse assembly of the stencil, for small-grid checks."""
+        import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
+
         rows, cols, vals = [], [], []
         for i, (s, a) in enumerate(self._faces):
             lo_i = np.flatnonzero(_axis_pairs(self.shape, i)[1])
@@ -184,7 +185,10 @@ def solve_weighted_poisson(grid, f, tol=1e-10):
         b = _deposit(grid, f)
     else:
         b = np.asarray(f.values, dtype=float).reshape(grid.shape)
-    total = b.sum() * hd
+    # a non-finite b sums to inf or NaN, which passes this check quietly;
+    # _gauged_cg then rejects it
+    with np.errstate(invalid="ignore"):
+        total = b.sum() * hd
     if abs(total) > 1e-10 * max(1.0, np.abs(b).sum() * hd):
         raise ValueError("incompatible source: cell-volume integral %g is not zero" % total)
     shape = grid.shape

@@ -15,7 +15,6 @@ by radial Gauss-Legendre quadrature.
 import functools
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .graph_core import Graph, _Windows, _write_columns
 
@@ -560,7 +559,7 @@ def build_graph(points, eps, kernel, seed=None):
     if d == 1 and kernel.name == "indicator":
         upper = _windows(points, eps, kernel)
     else:
-        upper = sparse.csr_matrix(_upper_triangle(points, eps, kernel), shape=(n, n))
+        upper = _upper_triangle(points, eps, kernel)
     diag = np.full(n, eps ** (-d) * kernel.eta0)
     return Graph(points, upper, diag, eps, kernel=kernel, seed=seed)
 

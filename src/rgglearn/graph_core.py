@@ -46,7 +46,6 @@ import os
 import threading
 
 import numpy as np
-import scipy.sparse as sparse
 
 
 # Below this many stored entries per pass, _run_pair runs both passes on the
@@ -118,6 +117,7 @@ def _components(upper):
     whole matrix only when they leave the graph disconnected; the labels
     are exact either way.
     """
+    import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
     from scipy.sparse import csgraph  # deferred: scipy.sparse.csgraph is slow to import
 
     indptr = upper.indptr
@@ -138,6 +138,8 @@ def _components(upper):
 
 def _checked_upper(upper, n):
     """upper as a canonical (n, n) CSR of finite, nonnegative weights above the diagonal."""
+    import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
+
     upper = sparse.csr_matrix(upper, shape=(n, n))
     upper.sum_duplicates()
     if not np.all(np.isfinite(upper.data)):
@@ -239,12 +241,13 @@ class Graph:
     ----------
     points : (n,d) array
         Node coordinates.
-    upper : scipy sparse matrix
+    upper : scipy sparse matrix or CSR triple (data, indices, indptr)
         Strict upper-triangular weights, one entry per undirected edge; an
         entry on or below the diagonal raises ValueError.  A canonical CSR
-        matrix (sorted indices, no duplicates) is used as is, without a
-        copy; other input is converted to one.  ``build_graph`` passes its
-        private window form here instead for d = 1 indicator graphs.
+        matrix or triple (sorted indices, no duplicates) keeps its data and
+        indices arrays, without a copy; other input is converted to one.
+        ``build_graph`` passes its private window form here instead for
+        d = 1 indicator graphs.
     diag : (n,) array
         Self-weights w_xx.
     eps : float
@@ -292,6 +295,8 @@ class Graph:
     @classmethod
     def from_weights(cls, points, W, eps, kernel=None, sigma_eta=None, seed=None):
         """Build a graph from a full symmetric weight matrix (dense or sparse)."""
+        import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
+
         W = sparse.coo_matrix(W)
         if (abs(W - W.T) > 0).nnz != 0:
             raise ValueError("weight matrix must be symmetric")
@@ -329,6 +334,8 @@ class Graph:
         """The strict upper triangle as canonical CSR, built on first read
         for a window graph."""
         if self._csr is None:
+            import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
+
             self._csr = sparse.csr_matrix(self._windows.build(), shape=(self.n, self.n))
         return self._csr
 
@@ -365,14 +372,14 @@ class Graph:
             raise ValueError("factor length mismatch")
         # same sparsity pattern: the new CSR shares this graph's index arrays
         coo = self._upper.tocoo(copy=False)
-        upper = sparse.csr_matrix((coo.data * f[coo.row] * f[coo.col],
-                                   self._upper.indices, self._upper.indptr),
-                                  shape=(self.n, self.n))
+        upper = (coo.data * f[coo.row] * f[coo.col], self._upper.indices, self._upper.indptr)
         return Graph(self.points, upper, self._diag * f**2, self.eps,
                      kernel=self.kernel, sigma_eta=self._sigma_eta, seed=self.seed)
 
     def weight_matrix(self):
         """Materialize the full symmetric weight matrix as CSR."""
+        import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
+
         n = self.n
         return (self._upper + self._upper.T
                 + sparse.diags(self._diag, format="csr", shape=(n, n))).tocsr()
@@ -413,6 +420,8 @@ class Graph:
         collecting the nodes outside `nodes`.  U P holds at most one entry
         per row and neighbouring cell, 3^d for a graph of bandwidth eps.
         """
+        import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
+
         upper = self._upper
         cap = max(1.0, math.sqrt(upper.nnz))
         lo = self.points.min(axis=0)
@@ -635,6 +644,7 @@ def load_graph(path):
     A relative ``points=`` path in the sidecar is resolved against the
     directory of the graph file; an absolute one is used as is.
     """
+    import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
     from .geometry import load_points, make_kernel  # deferred: geometry imports this module
 
     meta = {}

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -223,22 +224,26 @@ def test_greens_gauge_reciprocity_superposition():
 
 
 @pytest.mark.parametrize("bad, tol, match", [
-    (np.nan, 1e-10, "non-finite"),
-    (np.inf, 1e-10, "non-finite"),
-    (0.0, 0.0, "tol must be positive"),
-], ids=["nan-source", "inf-source", "zero-tol"])
+    ((np.nan, 0.0), 1e-10, "non-finite"),
+    ((np.inf, 0.0), 1e-10, "non-finite"),
+    ((np.inf, -np.inf), 1e-10, "non-finite"),
+    ((0.0, 0.0), 0.0, "tol must be positive"),
+], ids=["nan-source", "inf-source", "opposite-infinities", "zero-tol"])
 def test_broken_inputs_fail_before_any_apply(bad, tol, match):
-    # a nan source used to run all 200 * 64 CG iterations at h = 1/32 and an
-    # infinite one returned u = 0 after a first apply
+    # a nan source used to run all 200 * 64 CG iterations at h = 1/32, an
+    # infinite one returned u = 0 after a first apply, and inf + (-inf) in
+    # the compatibility sum printed numpy's "invalid value" warning first
     box = Box([0, 0], [1, 1])
     grid = build_grid(box, 1.0 / 32, make_density("constant", box))
     counted = []
     apply = grid.apply
     grid.apply = lambda u: counted.append(1) or apply(u)
     f = np.zeros(grid.shape)
-    f[3, 4] = bad
-    with pytest.raises(ValueError, match=match):
-        solve_weighted_poisson(grid, GridFunction(grid, f), tol=tol)
+    f[3, 4], f[9, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            solve_weighted_poisson(grid, GridFunction(grid, f), tol=tol)
     assert counted == []
 
 

@@ -12,7 +12,7 @@ from scipy.special import j0
 from rgglearn.geometry import (Box, Disk, _cell_grid, _gauss_legendre, make_kernel,
                                make_density, sample_points, build_graph)
 from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
-                                 laplacian_apply, weighted_mean)
+                                 laplacian_apply, save_graph, weighted_mean)
 from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _cell_average, _cell_average_axes,
                                   _chebyshev_coefficients, _exit_crossings,
                                   _psi_grid,
@@ -769,18 +769,27 @@ def test_grid_field_sampling():
 
 # scipy modules that each take a noticeable share of `import rgglearn`; the
 # functions that need one import it when first called
-DEFERRED_SCIPY = ("scipy.signal", "scipy.integrate", "scipy.optimize", "scipy.spatial",
-                  "scipy.sparse.csgraph", "scipy.fft", "scipy.special", "scipy.linalg")
+DEFERRED_SCIPY = ("scipy", "scipy.sparse", "scipy.signal", "scipy.integrate", "scipy.optimize",
+                  "scipy.spatial", "scipy.sparse.csgraph", "scipy.fft", "scipy.special",
+                  "scipy.linalg")
 
-# work that needs none of them: the import itself, the FD reference, and a
-# d = 1 indicator graph, whose edges come from sorted windows; and
-# `repeated_average`, which needs only scipy.fft and what that loads
+# work that needs none of them: the import itself, the FD reference (also
+# through the CLI), and a d = 1 indicator graph, whose edges come from
+# sorted windows; and `repeated_average`, which needs only scipy.fft and
+# what that loads.  Each runs in a fresh interpreter in its own directory.
 LEAN_WORK = {
     "import": "",
     "fd-reference": """
 box = rgglearn.Box([0.0, 0.0], [1.0, 1.0])
 grid = rgglearn.build_grid(box, 1.0 / 16, rgglearn.make_density("affine", box))
 rgglearn.solve_weighted_poisson(grid, rgglearn.SourceSpec([[0.3, 0.5], [0.7, 0.5]], [1.0, -1.0]))
+""",
+    "fd-reference-cli": """
+import rgglearn.cli
+with open("src.csv", "w") as fh:
+    fh.write("x0,x1,a\\n0.3,0.5,1\\n0.7,0.5,-1\\n")
+assert rgglearn.cli.main(["continuum", "--h", "0.0625", "--sources", "src.csv",
+                          "--out", "ref.csv"]) == 0
 """,
     "d1-indicator-graph": """
 box = rgglearn.Box([0.0], [1.0])
@@ -795,20 +804,67 @@ rgglearn.repeated_average(rgglearn.make_density("bump", box), box,
 """,
 }
 # the deferred modules a case may load
-MAY_LOAD = {"repeated-average": ("scipy.fft", "scipy.special")}
+MAY_LOAD = {"repeated-average": ("scipy", "scipy.fft", "scipy.special")}
 
 
-@pytest.mark.parametrize("work", sorted(LEAN_WORK))
-def test_import_defers_heavy_scipy_modules(work):
+def run_fresh(code, cwd):
+    """stdout of `code` run by a fresh interpreter in cwd, with this rgglearn on its path."""
     import rgglearn
 
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(rgglearn.__file__))
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(rgglearn.__file__)))
+    return subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, check=True,
+                          capture_output=True, text=True).stdout
+
+
+@pytest.mark.parametrize("work", sorted(LEAN_WORK))
+def test_import_defers_heavy_scipy_modules(work, tmp_path):
     code = ("import sys, rgglearn\n" + LEAN_WORK[work]
             + "print(' '.join(m for m in %r if m in sys.modules))" % (DEFERRED_SCIPY,))
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert set(out.split()) <= set(MAY_LOAD.get(work, ()))
+    loaded = run_fresh(code, tmp_path).splitlines()[-1]  # after what the CLI prints
+    assert set(loaded.split()) <= set(MAY_LOAD.get(work, ()))
+
+
+# Each function that builds a sparse matrix imports scipy.sparse itself.  In
+# this process scipy.sparse is loaded already, so a missing import would
+# pass unseen here; each case runs in a fresh interpreter where `call` is
+# the first code to need scipy.sparse.  `setup` must not load it: a d = 1
+# indicator graph builds its CSR only when something reads it.
+D1_WINDOW_GRAPH = """
+box = rgglearn.Box([0.0], [1.0])
+pts = rgglearn.sample_points(box, rgglearn.make_density("affine", box), 400, seed=3)
+g = rgglearn.build_graph(pts, 0.05, rgglearn.make_kernel("indicator", 1))
+"""
+SPARSE_ENTRY_POINTS = {
+    "build-graph-d2": ("""
+box = rgglearn.Box([0.0, 0.0], [1.0, 1.0])
+pts = rgglearn.sample_points(box, rgglearn.make_density("constant", box), 300, seed=2)
+""", "g = rgglearn.build_graph(pts, 0.2, rgglearn.make_kernel('cone', 2)); assert g.connected"),
+    "from-weights": ("W = np.ones((4, 4)) - np.eye(4)\npts = np.arange(4.0)[:, None]\n",
+                     "assert rgglearn.Graph.from_weights(pts, W, 1.0, sigma_eta=1.0).connected"),
+    "load-graph": ("", "assert rgglearn.load_graph('g.csv').n == 50"),
+    "reweighted": (D1_WINDOW_GRAPH, "assert g.reweighted(np.full(g.n, 2.0)).connected"),
+    "weight-matrix": (D1_WINDOW_GRAPH, "assert g.weight_matrix().shape == (g.n, g.n)"),
+    "laplace-learning-d1": (D1_WINDOW_GRAPH,
+                            "rgglearn.solve_laplace_learning(g, [(10, 1.0), (200, -1.0)])"),
+    "operator-matrix": ("""
+box = rgglearn.Box([0.0, 0.0], [1.0, 1.0])
+grid = rgglearn.build_grid(box, 1.0 / 8, rgglearn.make_density("affine", box))
+""", "assert grid.operator_matrix().shape == (64, 64)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPARSE_ENTRY_POINTS))
+def test_sparse_entry_points_import_scipy_sparse_themselves(case, tmp_path):
+    if case == "load-graph":
+        box = Box([0.0, 0.0], [1.0, 1.0])
+        pts = sample_points(box, make_density("constant", box), 50, seed=1)
+        save_graph(build_graph(pts, 0.3, make_kernel("cone", 2)), str(tmp_path / "g.csv"))
+    setup, call = SPARSE_ENTRY_POINTS[case]
+    code = ("import sys\nimport numpy as np\nimport rgglearn\n" + setup
+            + "assert 'scipy.sparse' not in sys.modules\n" + call + "\n"
+            + "assert 'scipy.sparse' in sys.modules\n")
+    run_fresh(code, tmp_path)
 
 
 def random_connected_graph(n, seed, eps):
