@@ -15,7 +15,7 @@ import numpy as np
 from .geometry import Box, _cell_grid
 from .graph_core import _write_columns
 from .heat_kernel import GridField
-from .poisson_solver import SourceSpec, _gauged_cg
+from .poisson_solver import SourceSpec, _gauged_cg, _jacobi
 
 
 class ReferenceGrid:
@@ -191,10 +191,9 @@ def solve_weighted_poisson(grid, f, tol=1e-10):
         total = b.sum() * hd
     if abs(total) > 1e-10 * max(1.0, np.abs(b).sum() * hd):
         raise ValueError("incompatible source: cell-volume integral %g is not zero" % total)
-    shape = grid.shape
-    x, _, _ = _gauged_cg(lambda v: grid.apply(v.reshape(shape)).ravel(), b.ravel(),
-                         grid.stencil_diagonal().ravel(), grid.rho2.ravel() * hd, tol,
-                         200 * int(np.sum(shape)))
+    x, _ = _gauged_cg(lambda v: grid.apply(v.reshape(grid.shape)).ravel(), b.ravel(),
+                      _jacobi(grid.stencil_diagonal().ravel()), grid.rho2.ravel() * hd, tol,
+                      200 * int(np.sum(grid.shape)))
     return GridFunction(grid, x)
 
 

@@ -7,13 +7,12 @@ extension of boundary labels), and Poisson-reweighted Laplace learning
 factor gamma).  All linear solves use preconditioned conjugate gradients.
 The singular ones (graph Poisson, gamma, and the continuum reference in
 continuum_ref) share `_gauged_cg`, which keeps the iterates in a
-weighted-mean-zero gauge, preconditions with Jacobi and holds the guards
-of all three.  Graph Poisson and gamma, one operator up to scale, reach it
-through `_solve_graph_laplacian`.  Laplace learning adds a coarse
-correction on cells of side eps to Jacobi (`_two_level`).
+weighted-mean-zero gauge and holds the guards of all three; graph Poisson
+and gamma reach it through `_solve_graph_laplacian`.  Each caller passes
+its preconditioner: Jacobi for the singular solves, and for Laplace
+learning Jacobi plus a coarse correction on cells of side eps (`_two_level`).
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,6 @@ class SourceSpec:
 class SolveReport:
     iterations: int
     residual: float
-    wall_time: float
 
 
 def assemble_source(g, s):
@@ -85,8 +83,8 @@ def _pcg(matvec, b, tol_check, precond, x0=None, project=None, maxiter=1000):
     restarts from the fresh one; if that residual is not below half of the
     previous restart's, the tolerance is out of reach in floating point and
     RuntimeError is raised at once.  A restart after a non-positive
-    curvature p.Ap counts toward maxiter but not toward the returned
-    iteration count.
+    curvature p.Ap counts toward maxiter but not toward the reported
+    iteration count.  Returns (x, SolveReport).
     """
     x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
     if project is not None:
@@ -105,7 +103,7 @@ def _pcg(matvec, b, tol_check, precond, x0=None, project=None, maxiter=1000):
     while True:
         np.subtract(b, matvec(x), out=r)
         if tol_check(r):
-            return x, total, float(np.linalg.norm(r))
+            return x, SolveReport(total, float(np.linalg.norm(r)))
         rnorm = float(np.linalg.norm(r))
         if passed and not rnorm < 0.5 * rnorm_prev:
             raise RuntimeError("CG stagnated at residual %.6g (previous restart %.6g) after "
@@ -182,15 +180,15 @@ def _two_level(g, nodes, diag):
     return precond
 
 
-def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
-    """Jacobi-preconditioned CG for a singular symmetric system A x = b.
+def _gauged_cg(matvec, b, precond, weights, tol, maxiter, x0=None):
+    """Preconditioned CG for a singular symmetric system A x = b.
 
     A is symmetric positive semi-definite with only the constants in its
-    kernel (a Neumann or graph Laplacian) and diag is its diagonal.  The
+    kernel (a Neumann or graph Laplacian), and precond is as in _pcg.  The
     iterates are projected onto the gauge weights @ x = 0 and CG stops when
-    ||b - A x||_2 <= tol ||b||_2.  Returns (x, iterations, residual norm).
-    Before the first matvec it rejects a tol that is not positive or a
-    non-finite b with ValueError, and returns (0, 0, 0.0) for b = 0.
+    ||b - A x||_2 <= tol ||b||_2.  Returns (x, SolveReport).  Before the
+    first matvec it rejects a tol that is not positive or a non-finite b
+    with ValueError, and returns (0, SolveReport(0, 0.0)) for b = 0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -198,9 +196,7 @@ def _gauged_cg(matvec, b, diag, weights, tol, maxiter, x0=None):
         raise ValueError("the source has non-finite values")
     bnorm = np.linalg.norm(b)
     if bnorm == 0.0:
-        return np.zeros_like(b), 0, 0.0
-    precond = _jacobi(diag)
-    del diag  # the caller's temporary: free it before the iteration starts
+        return np.zeros_like(b), SolveReport(0, 0.0)
     wsum = weights.sum()
 
     def project(v):
@@ -216,7 +212,7 @@ def _solve_graph_laplacian(g, b, scale, tol, x0=None):
         raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
     deg = g.degrees
     return _gauged_cg(lambda v: (deg * v - g.wmul(v)) / scale, b,
-                      (deg - g.self_weights) / scale, deg, tol, 10 * g.n, x0=x0)
+                      _jacobi((deg - g.self_weights) / scale), deg, tol, 10 * g.n, x0=x0)
 
 
 def solve_graph_poisson(g, s, tol=1e-10, x0=None):
@@ -240,10 +236,16 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     -------
     (GraphFunction, SolveReport)
     """
-    t0 = time.perf_counter()
     b = assemble_source(g, s).values
-    x, iters, res = _solve_graph_laplacian(g, b, g.sigma_eta * g.eps**2 * (g.n - 1), tol, x0)
-    return GraphFunction(g, x), SolveReport(iters, res, time.perf_counter() - t0)
+    x, report = _solve_graph_laplacian(g, b, g.sigma_eta * g.eps**2 * (g.n - 1), tol, x0)
+    return GraphFunction(g, x), report
+
+
+def _label_node(g, node):
+    node = int(node)
+    if not 0 <= node < g.n:
+        raise IndexError("label node %d out of range" % node)
+    return node
 
 
 def _collect_labels(g, labels):
@@ -251,12 +253,12 @@ def _collect_labels(g, labels):
         raise ValueError("label set is empty")
     seen = {}
     for node, value in labels:
-        node = int(node)
-        if not 0 <= node < g.n:
-            raise IndexError("label node %d out of range" % node)
+        node, value = _label_node(g, node), float(value)
+        if not np.isfinite(value):
+            raise ValueError("label value %r at node %d is not finite" % (value, node))
         if node in seen and seen[node] != value:
             raise ValueError("conflicting labels at node %d" % node)
-        seen[node] = float(value)
+        seen[node] = value
     idx = np.array(sorted(seen), dtype=np.int64)
     vals = np.array([seen[i] for i in idx])
     return idx, vals
@@ -306,8 +308,7 @@ def solve_laplace_learning(g, labels, tol=1e-9):
 
     check = lambda r: np.max(np.abs(r) / degU) <= tol
     x0 = np.full(U.size, vals.mean())
-    x, _, _ = _pcg(matvec, b, check, x0=x0, precond=_two_level(g, U, diagU),
-                   maxiter=10 * g.n)
+    x, _ = _pcg(matvec, b, check, x0=x0, precond=_two_level(g, U, diagU), maxiter=10 * g.n)
     out[U] = x
     return GraphFunction(g, out)
 
@@ -318,12 +319,12 @@ def pwll_gamma(g, label_nodes, tol=1e-10):
     Solves the unnormalized graph Poisson equation
     sum_y w_xy (gamma(x) - gamma(y)) = sum_z (1_{x=z} - 1/n) over the
     label set, then shifts so min gamma = 1.  tol is the relative residual
-    target and must be positive.
+    target and must be positive; a node outside range(g.n) raises IndexError.
     """
-    nodes = sorted(set(int(z) for z in label_nodes))
+    nodes = sorted(set(_label_node(g, z) for z in label_nodes))
     q = np.full(g.n, -float(len(nodes)) / g.n)
     q[nodes] += 1.0
-    x, _, _ = _solve_graph_laplacian(g, q, 1.0, tol)
+    x, _ = _solve_graph_laplacian(g, q, 1.0, tol)
     return GraphFunction(g, x - x.min() + 1.0)
 
 

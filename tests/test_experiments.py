@@ -221,6 +221,27 @@ def test_convergence_n_list_mismatch(tmp_path):
                                    "ladder.n_list": "100 200 300"})
     with pytest.raises(ValueError):
         run_convergence(cfg)
+    # lists of one length zip into the rungs (eps_i, n_i), keyed by eps
+    cfg = make_config(tmp_path, **{"run.seeds": "2",
+                                   "ladder.eps": "0.3 0.25",
+                                   "ladder.n_rule": "list",
+                                   "ladder.n_list": "300 400",
+                                   "ladder.k": "2"})
+    res = run_convergence(cfg)
+    assert [(r.eps, r.n, r.k, r.seed) for r in res.records] == [
+        (0.3, 300, 2, 0), (0.3, 300, 2, 1), (0.25, 400, 2, 0), (0.25, 400, 2, 1)]
+    assert list(res.medians) == [0.3, 0.25]
+    assert all(r.l1_error > 0 and r.moll_error > 0 for r in res.records)
+    lines = read_csv_lines(res.csv_path)
+    assert lines[0] == ",".join(CSV_COLUMNS)
+    assert [row.split(",")[:6] for row in lines[1:]] == [
+        ["converge", "2", n, eps, "2", seed]
+        for eps, n in [("0.29999999999999999", "300"), ("0.25", "400")]
+        for seed in "01"]  # two rungs: no slope row
+    assert [row.split(",")[6:8] for row in lines[1:]] == [
+        ["%.17g" % r.l1_error, "%.17g" % r.moll_error] for r in res.records]
+    meta = (tmp_path / "out" / "meta.txt").read_text()
+    assert "median at x = 0.29999999999999999" in meta and "median at x = 0.25" in meta
 
 
 def test_convergence_gauge(tmp_path):

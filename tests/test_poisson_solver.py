@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -25,6 +27,7 @@ from rgglearn.graph_core import (
     weighted_mean,
 )
 from rgglearn.poisson_solver import (
+    SolveReport,
     SourceSpec,
     _gauged_cg,
     _jacobi,
@@ -104,6 +107,7 @@ def test_zero_source_gives_zero():
     s = SourceSpec([g.points[0], g.points[1]], [0.0, 0.0])
     u, rep = solve_graph_poisson(g, s, tol=1e-10)
     assert np.all(u.values == 0.0)
+    assert rep == SolveReport(0, 0.0)
 
 
 def test_cg_matches_dense_pseudoinverse():
@@ -129,7 +133,6 @@ def test_residual_and_gauge_contract():
     assert np.linalg.norm(r) <= tol * np.linalg.norm(f)
     assert abs(weighted_mean(u)) < 1e-12
     assert rep.iterations > 0
-    assert rep.wall_time >= 0.0
 
 
 def test_uniqueness_from_random_starts():
@@ -221,6 +224,31 @@ def test_laplace_disconnected_unlabeled_component():
     # labels in every component are accepted
     u = solve_laplace_learning(g, [(0, 1.0), (2, -1.0)], tol=1e-9)
     assert u.values[0] == 1.0 and u.values[2] == -1.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("solve", [solve_laplace_learning, solve_pwll],
+                         ids=["laplace", "pwll"])
+def test_non_finite_label_values_are_rejected_before_any_matvec(solve, value):
+    # it must fail before any W u product: not inside the coarse Cholesky
+    # solve of Laplace learning, nor after PWLL's whole gamma solve
+    g = small_geometric_graph(n=120, eps=0.3, seed=10)
+    calls = _count_wmul(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="at node 7 is not finite"):
+            solve(g, [(5, 1.0), (7, value)])
+    assert calls == []
+
+
+@pytest.mark.parametrize("nodes", [[-1], [3, 120], [125]])
+def test_pwll_gamma_rejects_label_nodes_out_of_range(nodes):
+    # a negative node must not wrap round to n - 1 and solve quietly
+    g = small_geometric_graph(n=120, eps=0.3, seed=10)
+    calls = _count_wmul(g)
+    with pytest.raises(IndexError, match="label node %d out of range" % nodes[-1]):
+        pwll_gamma(g, nodes)
+    assert calls == []
 
 
 def test_pwll_gamma_peaks_at_label():
@@ -342,12 +370,12 @@ def test_gauged_cg_is_bitwise_the_allocating_recurrence(system, start):
     x0 = (np.zeros(b.size) if start == "zero"
           else np.random.default_rng(12).standard_normal(b.size))
     tol = 1e-10
-    got = _gauged_cg(matvec, b, diag, weights, tol, 10 * b.size, x0=x0)
+    x, report = _gauged_cg(matvec, b, _jacobi(diag), weights, tol, 10 * b.size, x0=x0)
     want = allocating_pcg(matvec, b, lambda r: np.linalg.norm(r) <= tol * np.linalg.norm(b),
                           x0, 1.0 / diag, lambda v: v - (weights @ v) / weights.sum(),
                           10 * b.size)
-    assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:] and got[1] > 0
+    assert x.tobytes() == want[0].tobytes()
+    assert (report.iterations, report.residual) == want[1:] and report.iterations > 0
 
 
 def test_pcg_leaves_b_and_x0_untouched():
@@ -357,10 +385,10 @@ def test_pcg_leaves_b_and_x0_untouched():
     b, x0 = rng.normal(size=30), rng.normal(size=30)
     state = b.tobytes(), x0.tobytes()
     check = lambda r: np.linalg.norm(r) <= 1e-12 * np.linalg.norm(b)
-    x, iters, _ = _pcg(lambda v: A @ v, b, check, x0=x0,
-                       precond=_jacobi(np.diag(A).copy()), maxiter=200)
+    x, report = _pcg(lambda v: A @ v, b, check, x0=x0,
+                     precond=_jacobi(np.diag(A).copy()), maxiter=200)
     assert (b.tobytes(), x0.tobytes()) == state
-    assert iters > 0 and not np.shares_memory(x, x0) and not np.shares_memory(x, b)
+    assert report.iterations > 0 and not np.shares_memory(x, x0) and not np.shares_memory(x, b)
     assert np.max(np.abs(A @ x - b)) <= 1e-9
 
 
@@ -517,7 +545,7 @@ def _recorded_iterations(monkeypatch):
 
     def recording(*args, **kwargs):
         out = pcg(*args, **kwargs)
-        iters.append(out[1])
+        iters.append(out[1].iterations)
         return out
 
     pcg = poisson_solver._pcg
