@@ -104,12 +104,22 @@ class Box:
                             indexing="ij")
         return np.stack([a.ravel() for a in grids], axis=1)
 
-    def corner_angles(self, x):
-        """Directions (angles, d=2 only) from x to the box corners."""
+    def arc_breaks(self, x, r):
+        """Angles (d=2 only) where theta -> min(r, ray_exit(x, theta)) can kink:
+        the directions from x to the corners and to where |y - x| = r meets a side."""
         if self.d != 2:
-            raise ValueError("corner_angles is 2-d only")
-        c = self.corners() - np.asarray(x, dtype=float)
-        return np.arctan2(c[:, 1], c[:, 0])
+            raise ValueError("arc_breaks is 2-d only")
+        x = np.asarray(x, dtype=float)
+        pts = list(self.corners())
+        for i, o in ((0, 1), (1, 0)):
+            for b in (self.lower[i], self.upper[i]):
+                if abs(b - x[i]) <= r:
+                    h = np.sqrt(r * r - (b - x[i]) ** 2)
+                    for c in (x[o] - h, x[o] + h):
+                        if self.lower[o] <= c <= self.upper[o]:
+                            pts.append((b, c) if i == 0 else (c, b))
+        v = np.array(pts) - x
+        return np.arctan2(v[:, 1], v[:, 0])
 
     def integrate(self, f, n_axis=96):
         """Tensor Gauss-Legendre quadrature of f over the box."""
@@ -174,8 +184,18 @@ class Disk:
         disc = b**2 + self.radius**2 - y @ y
         return -b + np.sqrt(np.maximum(disc, 0.0))
 
-    def corner_angles(self, x):
-        return np.empty(0)
+    def arc_breaks(self, x, r):
+        """Angles where theta -> min(r, ray_exit(x, theta)) can kink: the
+        directions from x to where |y - x| = r meets the boundary, in [-pi, pi)."""
+        y = np.asarray(x, dtype=float) - self.center_pt
+        yy = float(y @ y)
+        if yy == 0.0:
+            return np.empty(0)
+        q = (self.radius**2 - yy - r * r) / (2.0 * r * np.sqrt(yy))
+        if abs(q) > 1.0:
+            return np.empty(0)
+        a = np.arctan2(y[1], y[0]) + np.array([-1.0, 1.0]) * np.arccos(q)
+        return (a + np.pi) % (2 * np.pi) - np.pi
 
     def integrate(self, f, nr=160, na=512):
         """Polar quadrature: Gauss-Legendre radially, trapezoid in angle."""

@@ -215,10 +215,15 @@ def rho_hat(density, domain, kernel, eps, x):
     weighted sum over directions u of the Gauss-Legendre integrals of
     eta_eps(r) rho(x + r u) r^(d-1) over [0, min(eps, t_exit(u))], so each
     ray is clipped exactly at the (convex) domain's boundary.  Directions:
-    u = -1, +1 for d = 1; Gauss-Legendre arcs split at the corner angles
-    and where t_exit = eps for d = 2; for d = 3, 48 Gauss-Legendre nodes in
-    cos(theta) times 96 azimuths offset by half a step, so none lies in a
-    coordinate plane and box faces, edges and corners cut no arc.
+    u = -1, +1 for d = 1; for d = 2, 48-node Gauss-Legendre arcs split at
+    domain.arc_breaks(x, eps), the closed-form angles where min(eps, t_exit)
+    can kink; for d = 3, 48 Gauss-Legendre nodes in cos(theta) times 96
+    azimuths offset by half a step, so none lies in a coordinate plane and
+    box faces, edges and corners cut no arc.  Near a side at distance delta
+    the d = 2 arcs cannot resolve t_exit = delta / sin(theta): in the unit
+    box (constant density, indicator kernel, eps = 0.1, x = (0.5, 1 - delta))
+    the relative error is 1.2e-15, 3.5e-6 and 1.3e-4 at delta = 0.01, 1e-3
+    and 2e-4.
 
     Parameters
     ----------
@@ -242,7 +247,16 @@ def rho_hat(density, domain, kernel, eps, x):
         return _clipped_rays(density, domain, kernel, eps, x,
                              np.array([[-1.0], [1.0]]), np.ones(2), 128)
     if d == 2:
-        return _rho_hat_2d(density, domain, kernel, eps, x)
+        angles = np.unique(np.concatenate([[-np.pi, np.pi], domain.arc_breaks(x, eps)]))
+        gn, gw = _gauss_legendre(48)
+        total = 0.0
+        for a, b in zip(angles[:-1], angles[1:]):
+            if b - a < 1e-14:
+                continue
+            th = 0.5 * (b - a) * gn + 0.5 * (a + b)
+            dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
+            total += _clipped_rays(density, domain, kernel, eps, x, dirs, 0.5 * (b - a) * gw, 96)
+        return total
     un, uw = _gauss_legendre(48)
     az = (np.arange(96) + 0.5) * (2 * np.pi / 96)
     sin_t = np.sqrt(1 - un**2)
@@ -264,50 +278,6 @@ def _clipped_rays(density, domain, kernel, eps, x, dirs, wdir, n_r):
     pts = x[None, None, :] + r[:, :, None] * dirs[:, None, :]
     vals = kernel.eta_eps(r, eps) * density.evaluate(pts.reshape(-1, d)).reshape(r.shape)
     return float(wdir @ np.sum(vals * r ** (d - 1) * wr, axis=1))
-
-
-def _exit_crossings(domain, x, eps, nscan=4096):
-    """Angles where the clipped radius min(eps, t_exit) switches regime."""
-    theta = np.linspace(-np.pi, np.pi, nscan, endpoint=False)
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    t = domain.ray_exit(x, dirs)
-    s = np.sign(t - eps)
-    idx = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    out = []
-    for i in idx:
-        a, b = theta[i], theta[i + 1]
-        ta = domain.ray_exit(x, np.array([[np.cos(a), np.sin(a)]]))[0]
-        for _ in range(60):
-            m = 0.5 * (a + b)
-            tm = domain.ray_exit(x, np.array([[np.cos(m), np.sin(m)]]))[0]
-            if (tm - eps) * (ta - eps) <= 0:
-                b = m
-            else:
-                a, ta = m, tm
-        out.append(0.5 * (a + b))
-    return out
-
-
-def _rho_hat_2d(density, domain, kernel, eps, x, n_theta=48, n_r=96):
-    # split the angular domain at corner directions and at crossings of
-    # t_exit = eps, then integrate each smooth sub-arc by Gauss-Legendre
-    breaks = set()
-    for a in np.atleast_1d(domain.corner_angles(x)):
-        if np.isfinite(a):
-            breaks.add(float(a))
-    for a in _exit_crossings(domain, x, eps):
-        breaks.add(float(a))
-    breaks.update([-np.pi, np.pi])
-    angles = np.array(sorted(breaks))
-    gn, gw = _gauss_legendre(n_theta)
-    total = 0.0
-    for a, b in zip(angles[:-1], angles[1:]):
-        if b - a < 1e-14:
-            continue
-        th = 0.5 * (b - a) * gn + 0.5 * (a + b)
-        dirs = np.stack([np.cos(th), np.sin(th)], axis=1)
-        total += _clipped_rays(density, domain, kernel, eps, x, dirs, 0.5 * (b - a) * gw, n_r)
-    return total
 
 
 class GridField:

@@ -206,10 +206,16 @@ def _gauged_cg(matvec, b, precond, weights, tol, maxiter, x0=None):
     return _pcg(matvec, b, check, x0=x0, precond=precond, project=project, maxiter=maxiter)
 
 
-def _solve_graph_laplacian(g, b, scale, tol, x0=None):
-    """_gauged_cg on (D - W) x / scale = b, gauged by the degrees of the connected g."""
+def _check_poisson_graph(g):
+    if g.n < 2:
+        raise ValueError("graph has fewer than two nodes; the Poisson problem is ill-posed")
     if not g.connected:
         raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
+
+
+def _solve_graph_laplacian(g, b, scale, tol, x0=None):
+    """_gauged_cg on (D - W) x / scale = b, gauged by the degrees of the connected g."""
+    _check_poisson_graph(g)
     deg = g.degrees
     return _gauged_cg(lambda v: (deg * v - g.wmul(v)) / scale, b,
                       _jacobi((deg - g.self_weights) / scale), deg, tol, 10 * g.n, x0=x0)
@@ -225,7 +231,7 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     Parameters
     ----------
     g : Graph
-        Must be connected.
+        Must be connected, with at least two nodes.
     s : SourceSpec
     tol : float
         Relative residual target, ||L u - f||_2 <= tol ||f||_2.
@@ -318,10 +324,13 @@ def pwll_gamma(g, label_nodes, tol=1e-10):
 
     Solves the unnormalized graph Poisson equation
     sum_y w_xy (gamma(x) - gamma(y)) = sum_z (1_{x=z} - 1/n) over the
-    label set, then shifts so min gamma = 1.  tol is the relative residual
-    target and must be positive; a node outside range(g.n) raises IndexError.
+    nonempty label set, then shifts so min gamma = 1.  tol > 0 is the
+    relative residual target; a node outside range(g.n) raises IndexError.
     """
     nodes = sorted(set(_label_node(g, z) for z in label_nodes))
+    _check_poisson_graph(g)  # a bad graph is reported before an empty label set
+    if not nodes:
+        raise ValueError("label set is empty")
     q = np.full(g.n, -float(len(nodes)) / g.n)
     q[nodes] += 1.0
     x, _ = _solve_graph_laplacian(g, q, 1.0, tol)

@@ -487,6 +487,34 @@ def test_ray_exit_box_and_disk():
     assert t2[1] == pytest.approx(1.5)
 
 
+def test_arc_breaks_at_closed_form_angles():
+    # x at distance 0.05 from the lower side, r = 0.1: besides the corner
+    # directions, the circle |y - x| = r meets that side at -5 pi/6 and -pi/6
+    b = Box([0.0, 0.0], [1.0, 1.0])
+    x = np.array([0.5, 0.05])
+    c = b.corners() - x
+    br = b.arc_breaks(x, 0.1)
+    assert np.array_equal(br[:4], np.arctan2(c[:, 1], c[:, 0]))
+    assert sorted(br[4:]) == pytest.approx([-5 * np.pi / 6, -np.pi / 6], abs=1e-15)
+    # a circle inside the box adds nothing to the corner directions
+    c = b.corners() - 0.5
+    assert np.array_equal(b.arc_breaks(np.array([0.5, 0.5]), 0.1), np.arctan2(c[:, 1], c[:, 0]))
+    with pytest.raises(ValueError, match="2-d only"):
+        unit_box(3).arc_breaks(np.full(3, 0.5), 0.1)
+    dsk = Disk([0.0, 0.0], 1.0)
+    q = (1.0 - 0.81 - 0.04) / (2 * 0.2 * 0.9)
+    assert sorted(dsk.arc_breaks(np.array([0.9, 0.0]), 0.2)) == pytest.approx(
+        [-np.arccos(q), np.arccos(q)], abs=1e-15)
+    # on the far side the breaks wrap round into [-pi, pi)
+    br = dsk.arc_breaks(np.array([-0.9, 0.0]), 0.2)
+    assert sorted(br) == pytest.approx([-np.pi + np.arccos(q), np.pi - np.arccos(q)], abs=1e-15)
+    # the exit time equals r at every break
+    assert dsk.ray_exit(np.array([-0.9, 0.0]), np.stack([np.cos(br), np.sin(br)], axis=1)) \
+        == pytest.approx([0.2, 0.2], abs=1e-15)
+    assert dsk.arc_breaks(np.array([0.0, 0.0]), 0.2).size == 0
+    assert dsk.arc_breaks(np.array([0.5, 0.0]), 0.2).size == 0
+
+
 def test_points_csv_round_trip(tmp_path):
     pts = np.random.default_rng(8).random((40, 3))
     path = str(tmp_path / "pts.csv")

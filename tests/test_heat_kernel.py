@@ -14,8 +14,7 @@ from rgglearn.geometry import (Box, Disk, _cell_grid, _gauss_legendre, make_kern
 from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, save_graph, weighted_mean)
 from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _cell_average, _cell_average_axes,
-                                  _chebyshev_coefficients, _exit_crossings,
-                                  _psi_grid,
+                                  _chebyshev_coefficients, _psi_grid,
                                   heat_column, heat_convolve, psi_table,
                                   repeated_average, rho_hat, scale_constants,
                                   smooth_poisson)
@@ -568,6 +567,30 @@ def test_rho_hat_constant_density():
     # smooth kernel at the corner
     kb = make_kernel("bump", 2)
     assert abs(rho_hat(rho, box, kb, 0.1, [0.0, 0.0]) - 0.25) < 1e-6
+    # near a side: the ball minus the circular segment beyond it
+    for delta in (0.05, 0.01):
+        segment = 0.01 * np.arccos(delta / 0.1) - delta * np.sqrt(0.01 - delta**2)
+        want = 1.0 - segment / (np.pi * 0.01)
+        assert abs(rho_hat(rho, box, ker, 0.1, [0.5, 1.0 - delta]) - want) < 1e-13 * want
+
+
+@pytest.mark.parametrize("delta", [1e-3, 5e-4])
+def test_rho_hat_disk_lens(delta):
+    # constant density, indicator kernel: rho_hat is the lens area of
+    # B(x, r) and the disk over pi r^2 |disk|.  x sits so that one crossing
+    # of t_exit = r lies at pi - delta, just inside the end of the angle
+    # range [-pi, pi), where the arcs wrap round
+    R, r = 0.5, 0.2
+    disk = Disk([0.5, 0.5], R)
+    s = np.sin(delta)
+    d = np.sqrt(r * r * s * s + R * R - r * r) - r * s
+    lens = (r * r * np.arccos((d * d + r * r - R * R) / (2 * d * r))
+            + R * R * np.arccos((d * d + R * R - r * r) / (2 * d * R))
+            - 0.5 * np.sqrt((-d + r + R) * (d + r - R) * (d - r + R) * (d + r + R)))
+    want = lens / (np.pi * r * r * disk.volume)
+    got = rho_hat(make_density("constant", disk), disk, make_kernel("indicator", 2), r,
+                  [0.5, 0.5 + d])
+    assert abs(got - want) < 1e-13 * want
 
 
 def test_rho_hat_affine_density_interior():
@@ -578,20 +601,6 @@ def test_rho_hat_affine_density_interior():
     x = np.array([0.4, 0.6])
     want = float(rho.evaluate(x[None, :])[0])
     assert abs(rho_hat(rho, box, ker, 0.15, x) - want) < 1e-9
-
-
-def test_exit_crossings_one_ray_exit_per_bisection_step():
-    # x at distance 0.05 from the lower side, eps = 0.1: the clipped radius
-    # switches regime at the two angles where the exit time equals eps
-    box = Box([0, 0], [1, 1])
-    x = np.array([0.5, 0.05])
-    calls = []
-    ray_exit = box.ray_exit
-    box.ray_exit = lambda x, dirs: calls.append(1) or ray_exit(x, dirs)
-    angles = _exit_crossings(box, x, 0.1)
-    assert sorted(angles) == pytest.approx([-5 * np.pi / 6, -np.pi / 6], abs=1e-12)
-    # one scan, then per crossing one call at the bracket end and 60 steps
-    assert len(calls) == 1 + 61 * len(angles)
 
 
 def test_rho_hat_lipschitz_bound():

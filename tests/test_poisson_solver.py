@@ -531,6 +531,32 @@ def _count_wmul(g):
     return calls
 
 
+@pytest.mark.parametrize("solve", [
+    lambda g: solve_graph_poisson(g, SourceSpec([[0.5, 0.5], [0.5, 0.5]], [1.0, -1.0])),
+    lambda g: pwll_gamma(g, [0]),
+], ids=["solve_graph_poisson", "pwll_gamma"])
+def test_one_node_graph_is_rejected_before_any_matvec(solve):
+    # a lone node counts as connected but has degree 0, so the Jacobi
+    # diagonal and the Poisson scale sigma eps^2 (n - 1) are both zero
+    g = Graph.from_weights(np.array([[0.5, 0.5]]), sparse.csr_matrix((1, 1)), 0.2,
+                           kernel=make_kernel("indicator", 2))
+    calls = _count_wmul(g)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="fewer than two nodes"):
+            solve(g)
+    assert calls == []
+
+
+def test_pwll_gamma_rejects_an_empty_label_set():
+    # an empty set gives a zero source, and gamma = 1 would hide the mistake
+    g = small_geometric_graph(n=120, eps=0.3, seed=10)
+    calls = _count_wmul(g)
+    with pytest.raises(ValueError, match="label set is empty"):
+        pwll_gamma(g, [])
+    assert calls == []
+
+
 def test_laplace_learning_wmul_calls_are_pinned():
     # exact CG work of the two-level preconditioned Laplace solve on one
     # fixed graph; Jacobi alone took 35 calls here
