@@ -31,9 +31,9 @@ g = build_graph(pts, 0.12, make_kernel("indicator", 2))
 # columns keep unit mass under the (1/n) sum for any number of steps
 x = closest_point(np.array([0.5, 0.5]), g)
 for k in (1, 10, 100, 1000):
-    col = heat_column(g, x, k)
+    col = heat_column(g, x, k).values
     print("k = %4d   mass defect %.2e   max %8.3f"
-          % (k, abs(np.mean(col.values.values) - 1), col.values.values.max()))
+          % (k, abs(np.mean(col) - 1), col.max()))
 
 # smoothing a Poisson solution keeps it a Poisson solution (smoothed source)
 s = SourceSpec(np.array([[0.3, 0.5], [0.7, 0.5]]), np.array([1.0, -1.0]))

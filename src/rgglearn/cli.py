@@ -86,10 +86,9 @@ def _cmd_heat(args):
         center = int(parts[0])
     else:
         center = np.array([float(p) for p in parts])
-    col = heat_column(g, center, args.k)
-    _write_nodes(args.out, col.values.values)
-    print("wrote %s (k=%d, mass=%.17g)"
-          % (args.out, args.k, float(np.mean(col.values.values))))
+    col = heat_column(g, center, args.k).values
+    _write_nodes(args.out, col)
+    print("wrote %s (k=%d, mass=%.17g)" % (args.out, args.k, float(np.mean(col))))
     return 0
 
 

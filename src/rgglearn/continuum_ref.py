@@ -106,9 +106,6 @@ class ReferenceGrid:
         ij = np.minimum(np.maximum(ij, 0), np.array(self.shape) - 1)
         return tuple(int(v) for v in ij)
 
-    def func(self, values):
-        return GridFunction(self, values)
-
 
 class GridFunction(GridField):
     """Cell-centered values bound to a reference grid."""
@@ -119,9 +116,6 @@ class GridFunction(GridField):
             raise ValueError("value count does not match the grid")
         super().__init__(grid.axes, values.reshape(grid.shape), grid.h)
         self.grid = grid
-
-    def __len__(self):
-        return self.grid.n_cells
 
 
 def _axis_pairs(shape, i):

@@ -74,8 +74,6 @@ k = 0
 k_list = 4 16 64 256
 
 [solver]
-tol = 1e-10
-ref_tol = 1e-10
 ref_h = 0
 """
 
@@ -95,10 +93,10 @@ def _points(s):
 class ExperimentConfig:
     """Sweep configuration from an INI file plus --key value overrides.
 
-    The 24 keys of `DEFAULTS` are the schema: [run] experiment/outdir/
+    The 22 keys of `DEFAULTS` are the schema: [run] experiment/outdir/
     master_seed/seeds, [domain] d/box/density/slope/kernel, [source]
     anchors/coefficients/center, [ladder] eps/n_rule/n_list/n_const/
-    n_power/n_max/k_rule/k/k_list, [solver] tol/ref_tol/ref_h.  File
+    n_power/n_max/k_rule/k/k_list, [solver] ref_h.  File
     entries, then overrides, are checked against it (KeyError for an
     unknown section or option).  Overrides use 'section.option' keys, or
     the bare option name when it is unambiguous.
@@ -163,10 +161,7 @@ class ExperimentConfig:
         self.k = lad.getint("k")
         self.k_list = _ints(lad.get("k_list"))
 
-        sol = cp["solver"]
-        self.tol = sol.getfloat("tol")
-        self.ref_tol = sol.getfloat("ref_tol")
-        self.ref_h = sol.getfloat("ref_h")
+        self.ref_h = cp["solver"].getfloat("ref_h")
 
     @staticmethod
     def _locate(cp, key):
@@ -412,7 +407,7 @@ def run_convergence(config):
     t0 = time.perf_counter()
     h = cfg.reference_h()
     grid = build_grid(cfg.domain, h, cfg.density)
-    u_ref = solve_weighted_poisson(grid, spec, tol=cfg.ref_tol)
+    u_ref = solve_weighted_poisson(grid, spec)
     t_ref = time.perf_counter() - t0
 
     meta = ["columns: l1_error = (1/n) sum |u_graph/2 - u_ref| (gauge aligned); "
@@ -422,7 +417,7 @@ def run_convergence(config):
 
     def measure(recs, pts, g):
         (rec,) = recs
-        u, report = solve_graph_poisson(g, spec, tol=cfg.tol)
+        u, report = solve_graph_poisson(g, spec)
         ref_at = interpolate_at(u_ref, pts)
         diff = _aligned(g, 0.5 * u.values) - _aligned(g, ref_at)
         rec.l1_error = pnorm(g.func(diff), 1)
@@ -459,7 +454,7 @@ def run_mollification_rate(config):
             "l1_error unused"]
 
     def measure(recs, pts, g):
-        u, report = solve_graph_poisson(g, spec, tol=cfg.tol)
+        u, report = solve_graph_poisson(g, spec)
         v, done = u, 0
         for rec in recs:
             v = heat_convolve(g, rec.k - done, v)
@@ -485,7 +480,7 @@ def run_heat_asymptotics(config):
     """
     cfg = config
     eps = cfg.eps_list[0]
-    k = cfg.k if cfg.k_rule == "fixed" else cfg.k_for(eps)
+    k = cfg.k_for(eps)
     if k < 1:
         raise ValueError("heat ladder needs k >= 1")
     ns = cfg.ns_for(eps)
@@ -512,8 +507,7 @@ def run_heat_asymptotics(config):
         xi = closest_point(x0, g)
         meta.append("n=%d seed=%d: nearest node %d, center offset %.3g"
                     % (rec.n, rec.seed, xi, float(np.linalg.norm(pts[xi] - x0))))
-        col = heat_column(g, xi, k)
-        hvals = col.values.values
+        hvals = heat_column(g, xi, k).values
         rec.residual = abs(np.mean(hvals) - 1.0)
         sur_a = avg.sample(pts) / rh
         r = np.linalg.norm(pts - x0[None, :], axis=1)
@@ -556,9 +550,9 @@ def demo_two_point(config):
         labels = list(zip(nodes, values))
         meta.append("label nodes: %d %d" % tuple(nodes))
 
-        lap = solve_laplace_learning(g, labels, tol=cfg.tol)
-        poi, report = solve_graph_poisson(g, cfg.source_spec(), tol=cfg.tol)
-        pw = solve_pwll(g, labels, tol=cfg.tol)
+        lap = solve_laplace_learning(g, labels, tol=1e-10)
+        poi, report = solve_graph_poisson(g, cfg.source_spec())
+        pw = solve_pwll(g, labels, tol=1e-10)
 
         unlabeled = np.setdiff1d(np.arange(g.n), nodes)
         v = lap.values[unlabeled]

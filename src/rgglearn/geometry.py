@@ -121,9 +121,9 @@ class Box:
         v = np.array(pts) - x
         return np.arctan2(v[:, 1], v[:, 0])
 
-    def integrate(self, f, n_axis=96):
-        """Tensor Gauss-Legendre quadrature of f over the box."""
-        nodes, weights = _gauss_legendre(n_axis)
+    def integrate(self, f):
+        """Tensor Gauss-Legendre quadrature of f over the box, 96 nodes per axis."""
+        nodes, weights = _gauss_legendre(96)
         axes, wts = [], []
         for i in range(self.d):
             a, b = self.lower[i], self.upper[i]
@@ -197,8 +197,10 @@ class Disk:
         a = np.arctan2(y[1], y[0]) + np.array([-1.0, 1.0]) * np.arccos(q)
         return (a + np.pi) % (2 * np.pi) - np.pi
 
-    def integrate(self, f, nr=160, na=512):
-        """Polar quadrature: Gauss-Legendre radially, trapezoid in angle."""
+    def integrate(self, f):
+        """Polar quadrature: 160 Gauss-Legendre nodes radially, a 512-point
+        trapezoid in angle."""
+        nr, na = 160, 512
         nodes, weights = _gauss_legendre(nr)
         r = 0.5 * self.radius * (nodes + 1.0)
         wr = 0.5 * self.radius * weights * r
@@ -326,7 +328,7 @@ class DensityModel:
         return self._base(pts) / self._z
 
 
-def make_density(name, domain, slope=0.8, amplitude=1.0, width=None):
+def make_density(name, domain, slope=0.8):
     """Construct a density model
     ======
 
@@ -334,12 +336,11 @@ def make_density(name, domain, slope=0.8, amplitude=1.0, width=None):
     ----------
     name : str
         'constant', 'affine' (linear ramp along the first axis), or
-        'bump' (Gaussian bump at the domain center, Lipschitz).
+        'bump' (1 + exp(-|x - c|^2 / (2 w^2)) with c the domain center and
+        w = 0.2 x the smallest extent of the bounding box; Lipschitz).
     domain : Box or Disk
     slope : float
         Affine ramp steepness, must be > -1.
-    amplitude, width : float
-        Bump parameters; width defaults to 0.2 x the smallest extent.
 
     Returns
     -------
@@ -358,26 +359,27 @@ def make_density(name, domain, slope=0.8, amplitude=1.0, width=None):
         return DensityModel("affine", domain, base, bmin, bmax, abs(slope) / extent)
     if name == "bump":
         c = domain.center
-        w = width if width is not None else 0.2 * float(np.min(up - lo))
-        base = lambda p: 1.0 + amplitude * np.exp(
+        w = 0.2 * float(np.min(up - lo))
+        base = lambda p: 1.0 + np.exp(
             -np.sum((p - c) ** 2, axis=1) / (2 * w**2))
         if isinstance(domain, Box):
             rmax = np.max(np.linalg.norm(domain.corners() - c, axis=1))
         else:
             rmax = domain.radius + np.linalg.norm(c - domain.center)
-        bmin = 1.0 + amplitude * np.exp(-rmax**2 / (2 * w**2))
-        bmax = 1.0 + amplitude
-        lip = amplitude * np.exp(-0.5) / w
-        return DensityModel("bump", domain, base, bmin, bmax, lip)
+        bmin = 1.0 + np.exp(-rmax**2 / (2 * w**2))
+        lip = np.exp(-0.5) / w
+        return DensityModel("bump", domain, base, bmin, 2.0, lip)
     raise ValueError("unknown density %r" % (name,))
 
 
-def sample_points(domain, density, n, seed, min_acceptance=1e-3):
+def sample_points(domain, density, n, seed):
     """Draw i.i.d. points from a density by rejection sampling
     ======
 
     Proposes uniformly on the domain's bounding box and accepts with
-    probability rho(x)/rho_max; deterministic for a fixed seed.
+    probability rho(x)/rho_max; deterministic for a fixed seed.  An
+    observed acceptance rate below 1e-3 raises RuntimeError (misconfigured
+    density envelope).
 
     Parameters
     ----------
@@ -386,9 +388,6 @@ def sample_points(domain, density, n, seed, min_acceptance=1e-3):
     n : int
         Number of points, >= 2.
     seed : int
-    min_acceptance : float
-        Guard threshold; an observed acceptance rate below it raises
-        RuntimeError (misconfigured density).
 
     Returns
     -------
@@ -413,10 +412,10 @@ def sample_points(domain, density, n, seed, min_acceptance=1e-3):
         chunks.append(x[acc])
         accepted += int(acc.sum())
         proposed += chunk
-        if accepted / proposed < min_acceptance:
+        if accepted / proposed < 1e-3:
             raise RuntimeError(
-                "rejection acceptance rate %.2e below %.2e; density envelope "
-                "is misconfigured" % (accepted / proposed, min_acceptance))
+                "rejection acceptance rate %.2e below 1e-3; density envelope "
+                "is misconfigured" % (accepted / proposed))
     return np.concatenate(chunks, axis=0)[:n]
 
 

@@ -462,9 +462,6 @@ class GraphFunction:
     def __array__(self, dtype=None, copy=None):
         return np.asarray(self.values, dtype=dtype)
 
-    def __len__(self):
-        return self.values.size
-
 
 def _check_same_graph(*funcs):
     g = funcs[0].graph

@@ -26,7 +26,7 @@ radial reduction t psi_k(|t|) (see `psi_table`).
 import numpy as np
 
 from .geometry import BALL_VOLUME, _cell_grid, _gauss_legendre
-from .graph_core import GraphFunction, LaplacianKind, laplacian_apply
+from .graph_core import GraphFunction, LaplacianKind, graph_delta, laplacian_apply
 from .poisson_solver import assemble_source
 
 MAX_HEAT_STEPS = 10**6
@@ -38,18 +38,6 @@ def _step_count(k, lo=0):
         raise ValueError("step count k must be a whole number in [%d, %d], got %r"
                          % (lo, MAX_HEAT_STEPS, k))
     return int(k)
-
-
-class HeatColumn:
-    """One heat-kernel column H_k^x.
-
-    Fields: center (node index or point), k, values (GraphFunction).
-    """
-
-    def __init__(self, center, k, values):
-        self.center = center
-        self.k = k
-        self.values = values
 
 
 def _chebyshev_coefficients(k):
@@ -143,16 +131,11 @@ def heat_column(g, x, k):
 
     Returns
     -------
-    HeatColumn
+    GraphFunction
     """
     k = _step_count(k)
     if np.isscalar(x) or (isinstance(x, np.ndarray) and x.ndim == 0):
-        xi = int(x)
-        if not 0 <= xi < g.n:
-            raise IndexError("node index out of range")
-        v = np.zeros(g.n)
-        v[xi] = g.n
-        return HeatColumn(xi, k, GraphFunction(g, _walk(g, v, k, adjoint=True)))
+        return GraphFunction(g, _walk(g, graph_delta(x, g).values, k, adjoint=True))
     x = np.asarray(x, dtype=float)
     if x.shape != (g.d,):
         raise ValueError("point center must have shape (d,)")
@@ -165,8 +148,7 @@ def heat_column(g, x, k):
     deg_x = w.sum()
     if deg_x == 0:
         raise ValueError("no node within eps of the center point")
-    v = _walk(g, g.n * w / deg_x, k - 1, adjoint=True)
-    return HeatColumn(x, k, GraphFunction(g, v))
+    return GraphFunction(g, _walk(g, g.n * w / deg_x, k - 1, adjoint=True))
 
 
 def heat_convolve(g, k, u):

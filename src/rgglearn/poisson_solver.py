@@ -180,15 +180,16 @@ def _two_level(g, nodes, diag):
     return precond
 
 
-def _gauged_cg(matvec, b, precond, weights, tol, maxiter, x0=None):
+def _gauged_cg(matvec, b, precond, weights, tol, maxiter):
     """Preconditioned CG for a singular symmetric system A x = b.
 
     A is symmetric positive semi-definite with only the constants in its
-    kernel (a Neumann or graph Laplacian), and precond is as in _pcg.  The
-    iterates are projected onto the gauge weights @ x = 0 and CG stops when
-    ||b - A x||_2 <= tol ||b||_2.  Returns (x, SolveReport).  Before the
-    first matvec it rejects a tol that is not positive or a non-finite b
-    with ValueError, and returns (0, SolveReport(0, 0.0)) for b = 0.
+    kernel (a Neumann or graph Laplacian), and precond is as in _pcg.  CG
+    starts from zero, projects the iterates onto the gauge weights @ x = 0
+    and stops when ||b - A x||_2 <= tol ||b||_2.  Returns (x, SolveReport).
+    Before the first matvec it rejects a tol that is not positive or a
+    non-finite b with ValueError, and returns (0, SolveReport(0, 0.0)) for
+    b = 0.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
@@ -203,7 +204,7 @@ def _gauged_cg(matvec, b, precond, weights, tol, maxiter, x0=None):
         v -= (weights @ v) / wsum
 
     check = lambda r: np.linalg.norm(r) <= tol * bnorm
-    return _pcg(matvec, b, check, x0=x0, precond=precond, project=project, maxiter=maxiter)
+    return _pcg(matvec, b, check, precond=precond, project=project, maxiter=maxiter)
 
 
 def _check_poisson_graph(g):
@@ -213,15 +214,15 @@ def _check_poisson_graph(g):
         raise ValueError("graph is disconnected; the Poisson problem is ill-posed")
 
 
-def _solve_graph_laplacian(g, b, scale, tol, x0=None):
+def _solve_graph_laplacian(g, b, scale, tol):
     """_gauged_cg on (D - W) x / scale = b, gauged by the degrees of the connected g."""
     _check_poisson_graph(g)
     deg = g.degrees
     return _gauged_cg(lambda v: (deg * v - g.wmul(v)) / scale, b,
-                      _jacobi((deg - g.self_weights) / scale), deg, tol, 10 * g.n, x0=x0)
+                      _jacobi((deg - g.self_weights) / scale), deg, tol, 10 * g.n)
 
 
-def solve_graph_poisson(g, s, tol=1e-10, x0=None):
+def solve_graph_poisson(g, s, tol=1e-10):
     """Solve the graph Poisson learning problem
     ======
 
@@ -235,15 +236,13 @@ def solve_graph_poisson(g, s, tol=1e-10, x0=None):
     s : SourceSpec
     tol : float
         Relative residual target, ||L u - f||_2 <= tol ||f||_2.
-    x0 : array, optional
-        Starting iterate (default zero).
 
     Returns
     -------
     (GraphFunction, SolveReport)
     """
     b = assemble_source(g, s).values
-    x, report = _solve_graph_laplacian(g, b, g.sigma_eta * g.eps**2 * (g.n - 1), tol, x0)
+    x, report = _solve_graph_laplacian(g, b, g.sigma_eta * g.eps**2 * (g.n - 1), tol)
     return GraphFunction(g, x), report
 
 

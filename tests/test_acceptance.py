@@ -70,13 +70,13 @@ def test_criterion_1_exact_identity_suite():
     v = GraphFunction(g, rng.normal(size=g.n))
     worst = {}
 
-    worst["mass"] = max(abs(np.mean(heat_column(g, 3, k).values.values) - 1.0)
+    worst["mass"] = max(abs(np.mean(heat_column(g, 3, k).values) - 1.0)
                         for k in (1, 10, 100, 1000))
 
     delta4 = graph_delta(4, g).values
-    col12 = heat_column(g, 4, 12).values.values
+    col12 = heat_column(g, 4, 12).values
     worst["oracle"] = np.max(np.abs(col12 - np.linalg.matrix_power(P, 12) @ delta4))
-    col5 = heat_column(g, 4, 5).values.values
+    col5 = heat_column(g, 4, 5).values
     worst["semigroup"] = np.max(np.abs(col12 - np.linalg.matrix_power(P, 7) @ col5))
 
     a = heat_convolve(g, 3, laplacian_apply(u, LaplacianKind.RandomWalk))
@@ -93,10 +93,10 @@ def test_criterion_1_exact_identity_suite():
 
     x = 9
     convd = heat_convolve(g, 5, graph_delta(x, g)).values
-    colx = heat_column(g, x, 5).values.values
+    colx = heat_column(g, x, 5).values
     worst["delta-column"] = np.max(np.abs(convd - deg[x] * colx / deg))
 
-    cols = np.stack([heat_column(g, y, 7).values.values for y in range(g.n)], axis=1)
+    cols = np.stack([heat_column(g, y, 7).values for y in range(g.n)], axis=1)
     sym = cols * deg[None, :]
     worst["degree-symmetry"] = np.max(np.abs(sym - sym.T)) / np.max(np.abs(sym))
 
@@ -117,7 +117,7 @@ def test_criterion_1_exact_identity_suite():
     acc = np.zeros(g.n)
     for node, coef in zip(nodes, s.coefficients):
         for j in range(k):
-            acc += coef * heat_column(g, node, j).values.values
+            acc += coef * heat_column(g, node, j).values
     scale = g.sigma_eta * g.eps**2 * (g.n - 1)
     worst["difference"] = np.max(np.abs((up.values - uk.values) - scale * acc / deg))
 

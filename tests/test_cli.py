@@ -68,7 +68,7 @@ def test_solve_and_heat(tmp_path):
                  "--out", str(cfile)]) == 0
     vals = np.array([float(r.split(",")[1]) for r in read_lines(cfile)[1:]])
     g = load_graph(str(gfile))
-    direct = heat_column(g, 7, 3).values.values
+    direct = heat_column(g, 7, 3).values
     assert np.allclose(vals, direct, rtol=0, atol=1e-14)
     # point-mode center
     assert main(["heat", "--graph", str(gfile), "--center", "0.5 0.5",
@@ -119,6 +119,25 @@ def test_sources_of_the_wrong_dimension_are_rejected(tmp_path):
     with pytest.raises(ValueError, match="dimension"):
         main(["continuum", "--h", "0.025", "--sources", str(src),
               "--out", str(tmp_path / "ref.csv")])
+
+
+def _solve_with_one_column_sources(tmp):
+    gfile = tmp / "g.csv"
+    main(["sample", "--n", "50", "--eps", "0.3", "--seed", "1",
+          "--out", str(tmp / "p.csv"), "--graph-out", str(gfile)])
+    (tmp / "src.csv").write_text("a\n1\n-1\n")
+    return ["solve", "--graph", str(gfile), "--sources", str(tmp / "src.csv"),
+            "--out", str(tmp / "u.csv")]
+
+
+@pytest.mark.parametrize("argv, match", [
+    (lambda tmp: ["sample", "--box", "0", "0", "1", "--n", "10", "--out", str(tmp / "p.csv")],
+     "--box needs an even number of bounds"),
+    (_solve_with_one_column_sources, "sources CSV needs columns"),
+], ids=["odd-box", "one-column-sources"])
+def test_cli_input_guards(argv, match, tmp_path):
+    with pytest.raises(SystemExit, match=match):
+        main(argv(tmp_path))
 
 
 def test_solve_rejects_anchors_with_no_node_within_eps(tmp_path):

@@ -42,7 +42,7 @@ def test_constant_rho_hand_stencil():
 
 def test_row_sums_and_symmetry():
     box = Box([0, 0], [1, 1])
-    rho = make_density("bump", box, amplitude=1.0)
+    rho = make_density("bump", box)
     g = build_grid(box, 1.0 / 16, rho)
     A = g.operator_matrix().toarray()
     scale = np.abs(A).max()
@@ -208,7 +208,7 @@ def test_negated_source():
 
 def test_greens_gauge_reciprocity_superposition():
     box = Box([0, 0], [1, 1])
-    rho = make_density("bump", box, amplitude=1.0)
+    rho = make_density("bump", box)
     g = build_grid(box, 1.0 / 48, rho)
     tol = 1e-11
     Gx = greens_function(g, [0.3, 0.4], tol=tol)

@@ -41,7 +41,7 @@ def test_defaults():
     assert cfg.experiment == "converge"
     assert len(cfg.anchors) == 2
     assert cfg.coefficients.tolist() == [1.0, -1.0]
-    assert sum(len(cfg._cp.options(s)) for s in cfg._cp.sections()) == 24
+    assert sum(len(cfg._cp.options(s)) for s in cfg._cp.sections()) == 22
 
 
 def test_overrides_dotted_and_bare():
@@ -52,9 +52,20 @@ def test_overrides_dotted_and_bare():
         ExperimentConfig(overrides={"no_such_key": "1"})
     with pytest.raises(KeyError):
         ExperimentConfig(overrides={"run.no_such_option": "1"})
-    for removed in ("solver.heat_h", "ladder.drop_preasymptotic"):
+    for removed in ("solver.heat_h", "ladder.drop_preasymptotic", "solver.tol",
+                    "solver.ref_tol"):
         with pytest.raises(KeyError):
             ExperimentConfig(overrides={removed: "0"})
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: ExperimentConfig(overrides={"ladder.eps": ""}), "empty eps ladder"),
+    (lambda: ExperimentConfig(overrides={"ladder.k_rule": "cor99"}).k_for(0.1),
+     "unknown k_rule 'cor99'"),
+], ids=["empty-eps-ladder", "unknown-k-rule"])
+def test_config_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 def test_config_file(tmp_path):
@@ -253,7 +264,7 @@ def test_convergence_gauge(tmp_path):
     pts = sample_points(cfg.domain, cfg.density, 400, [cfg.master_seed, 0])
     g = build_graph(pts, 0.25, cfg.kernel)
     from rgglearn.poisson_solver import solve_graph_poisson
-    u, _ = solve_graph_poisson(g, cfg.source_spec(), tol=cfg.tol)
+    u, _ = solve_graph_poisson(g, cfg.source_spec())
     aligned = u.values - weighted_mean(u)
     assert abs(weighted_mean(g.func(aligned))) <= 1e-10 * np.abs(aligned).max()
 

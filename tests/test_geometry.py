@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from rgglearn import geometry
 from rgglearn.geometry import (
     Box,
+    DensityModel,
     Disk,
     build_graph,
     closest_point,
@@ -226,9 +227,10 @@ def test_sample_points_disk_and_bump():
 
 def test_sample_points_acceptance_guard():
     dom = unit_box(2)
-    rho = make_density("bump", dom)
-    with pytest.raises(RuntimeError):
-        sample_points(dom, rho, 100, seed=0, min_acceptance=0.999)
+    # rho_max 1e4 times the density: about 1e-4 of the proposals are accepted
+    rho = DensityModel("bad", dom, lambda p: np.ones(len(p)), 1.0, 1e4, 0.0)
+    with pytest.raises(RuntimeError, match="below 1e-3"):
+        sample_points(dom, rho, 100, seed=0)
 
 
 def test_build_graph_two_far_points():
@@ -378,6 +380,23 @@ def test_build_graph_errors():
     with pytest.raises(ValueError):
         # n * eps^d < 1
         build_graph(np.random.default_rng(0).random((5, 2)), 0.1, k)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Box([0.0, 0.0], [1.0]), "1-d arrays of equal length"),
+    (lambda: Box([0.0] * 4, [1.0] * 4), "dimension must be 1, 2, or 3"),
+    (lambda: Disk([0.0, 0.0], 0.0), "radius must be positive"),
+    (lambda: make_density("affine", unit_box(1), slope=-1.0), "slope must be > -1"),
+    (lambda: make_density("ramp", unit_box(1)), "unknown density 'ramp'"),
+    (lambda: sample_points(unit_box(1), make_density("constant", unit_box(1)), 1, seed=0),
+     "need n >= 2"),
+    (lambda: build_graph(np.zeros((4, 2)), 0.5, make_kernel("indicator", 1)),
+     r"kernel dimension 1 does not match points \(2\)"),
+], ids=["bounds-length", "4-d-box", "zero-radius", "affine-slope", "unknown-density",
+        "one-point", "kernel-dimension"])
+def test_geometry_input_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 @pytest.mark.parametrize("variant", ["indicator", "cone"])  # window and CSR routes in d = 1

@@ -371,6 +371,35 @@ def test_graph_rejects_entries_on_or_below_the_diagonal(entries, tmp_path):
         load_graph(path)
 
 
+def _load_with_points_of_another_shape(tmp_path):
+    g = Graph(np.arange(3.0)[:, None], sparse.coo_matrix(([1.0], ([0], [1])), shape=(3, 3)),
+              np.ones(3), 1.0, sigma_eta=1.0)
+    path = str(tmp_path / "g.csv")
+    save_graph(g, path)
+    (tmp_path / "g.csv.points").write_text("x0,x1\n0,0\n1,1\n")
+    return load_graph(path)
+
+
+_PAIR = np.array([[0.0], [1.0]])
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda tmp: Graph(_PAIR, sparse.coo_matrix(([-1.0], ([0], [1])), shape=(2, 2)),
+                       np.ones(2), 1.0), "negative edge weight"),
+    (lambda tmp: Graph(_PAIR, sparse.coo_matrix(([1.0], ([0], [1])), shape=(2, 2)),
+                       np.ones(3), 1.0), "diagonal length mismatch"),
+    (lambda tmp: Graph(_PAIR, sparse.coo_matrix(([1.0], ([0], [1])), shape=(2, 2)),
+                       np.array([1.0, -1.0]), 1.0), "negative self-weight"),
+    (lambda tmp: Graph.from_weights(_PAIR, np.array([[0.0, 1.0], [2.0, 0.0]]), 1.0),
+     "must be symmetric"),
+    (_load_with_points_of_another_shape, r"points file shape \(2, 2\) does not match"),
+], ids=["negative-edge", "diagonal-length", "negative-self-weight", "asymmetric-W",
+        "points-file-shape"])
+def test_graph_construction_guards(build, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        build(tmp_path)
+
+
 def test_component_labels_returns_a_copy():
     pts = np.arange(4.0)[:, None]
     g = Graph(pts, sparse.coo_matrix(([1.0, 1.0], ([0, 2], [1, 3])), shape=(4, 4)),

@@ -11,7 +11,7 @@ from scipy.special import j0
 
 from rgglearn.geometry import (Box, Disk, _cell_grid, _gauss_legendre, make_kernel,
                                make_density, sample_points, build_graph)
-from rgglearn.graph_core import (GraphFunction, LaplacianKind, graph_delta, inner,
+from rgglearn.graph_core import (Graph, GraphFunction, LaplacianKind, graph_delta, inner,
                                  laplacian_apply, save_graph, weighted_mean)
 from rgglearn.heat_kernel import (MAX_HEAT_STEPS, GridField, _cell_average, _cell_average_axes,
                                   _chebyshev_coefficients, _psi_grid,
@@ -41,7 +41,7 @@ def dense_propagators(g):
 def test_column_k0_is_delta():
     g = small_graph()
     hc = heat_column(g, 11, 0)
-    assert np.array_equal(hc.values.values, graph_delta(11, g).values)
+    assert np.array_equal(hc.values, graph_delta(11, g).values)
 
 
 def test_column_matches_dense_matrix_power():
@@ -51,13 +51,13 @@ def test_column_matches_dense_matrix_power():
     for k in (1, 5, 20):
         hc = heat_column(g, 4, k)
         want = np.linalg.matrix_power(P, k) @ delta
-        assert np.max(np.abs(hc.values.values - want)) < 1e-12
+        assert np.max(np.abs(hc.values - want)) < 1e-12
 
 
 def test_column_mass_and_positivity():
     g = small_graph()
     for k in (1, 10, 1000):
-        v = heat_column(g, 0, k).values.values
+        v = heat_column(g, 0, k).values
         assert abs(np.mean(v) - 1.0) < 1e-12
         assert v.min() >= 0.0
 
@@ -69,18 +69,18 @@ def test_point_center_one_step_formula():
     ker = make_kernel("indicator", 2)
     w = ker.eta_eps(np.linalg.norm(g.points - x, axis=1), g.eps)
     want = g.n * w / w.sum()
-    assert np.max(np.abs(hc.values.values - want)) < 1e-14
-    assert abs(np.mean(hc.values.values) - 1.0) < 1e-12
+    assert np.max(np.abs(hc.values - want)) < 1e-14
+    assert abs(np.mean(hc.values) - 1.0) < 1e-12
 
 
 def test_point_center_multi_step_oracle():
     g = small_graph()
     x = np.array([0.41, 0.52])
     P, _ = dense_propagators(g)
-    h1 = heat_column(g, x, 1).values.values
+    h1 = heat_column(g, x, 1).values
     hc = heat_column(g, x, 4)
     want = np.linalg.matrix_power(P, 3) @ h1
-    assert np.max(np.abs(hc.values.values - want)) < 1e-12
+    assert np.max(np.abs(hc.values - want)) < 1e-12
 
 
 def test_point_center_errors():
@@ -97,10 +97,27 @@ def test_point_center_errors():
         heat_column(g, 0, -1)
 
 
+# three nodes on a line: 0 and 1 joined, 2 isolated; no kernel profile
+_LINE = np.array([[0.0], [0.5], [1.0]])
+_PAIR_W = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: heat_column(Graph.from_weights(_LINE, _PAIR_W, 0.6), 0, 1),
+     "zero-degree node; random-walk propagation undefined"),
+    (lambda: heat_column(Graph.from_weights(_LINE, _PAIR_W + np.eye(3), 0.6),
+                         np.array([0.25]), 1),
+     "graph has no kernel profile"),
+], ids=["zero-degree-node", "point-center-without-kernel"])
+def test_heat_column_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_degree_symmetry():
     g = small_graph(n=40)
     deg = g.degrees
-    cols = np.stack([heat_column(g, x, 7).values.values for x in range(g.n)], axis=1)
+    cols = np.stack([heat_column(g, x, 7).values for x in range(g.n)], axis=1)
     # deg(y) H_k^y(x) = deg(x) H_k^x(y)
     lhs = cols * deg[None, :]
     assert np.max(np.abs(lhs - lhs.T)) < 1e-10 * np.max(np.abs(lhs))
@@ -140,7 +157,7 @@ def test_delta_convolution_gives_scaled_column():
     g = small_graph(n=40)
     x = 9
     uk = heat_convolve(g, 5, graph_delta(x, g))
-    col = heat_column(g, x, 5).values.values
+    col = heat_column(g, x, 5).values
     want = g.degrees[x] * col / g.degrees
     assert np.max(np.abs(uk.values - want)) < 1e-12
 
@@ -169,7 +186,7 @@ def test_smooth_poisson_difference_formula():
     acc = np.zeros(g.n)
     for node, a in zip(nodes, s.coefficients):
         for j in range(k):
-            acc += a * heat_column(g, node, j).values.values
+            acc += a * heat_column(g, node, j).values
     scale = g.sigma_eta * g.eps**2 * (g.n - 1)
     assert np.max(np.abs((u.values - uk.values) - scale * acc / g.degrees)) < 1e-10
 
@@ -202,9 +219,8 @@ def test_heat_column_rejects_fractional_step_count():
     with pytest.raises(ValueError, match="step count"):
         heat_column(g, np.array([0.5, 0.5]), 2.5)
     # a whole-valued float is a step count
-    assert heat_column(g, 3, 2.0).k == 2
-    assert np.array_equal(heat_column(g, 3, 2.0).values.values,
-                          heat_column(g, 3, 2).values.values)
+    assert np.array_equal(heat_column(g, 3, 2.0).values,
+                          heat_column(g, 3, 2).values)
 
 
 def test_heat_convolve_rejects_fractional_step_count():
@@ -606,7 +622,7 @@ def test_rho_hat_affine_density_interior():
 def test_rho_hat_lipschitz_bound():
     box = Box([0, 0], [1, 1])
     ker = make_kernel("indicator", 2)
-    rho = make_density("bump", box, amplitude=1.0)
+    rho = make_density("bump", box)
     eps = 0.08
     rng = np.random.default_rng(5)
     pts = rng.uniform(eps, 1 - eps, size=(20, 2))
@@ -888,7 +904,7 @@ def random_connected_graph(n, seed, eps):
        x=st.integers(0, 10**6), k=st.integers(0, 40))
 def test_property_heat_mass_preserved(n, seed, eps, x, k):
     g = random_connected_graph(n, seed, eps)
-    col = heat_column(g, x % n, k).values
+    col = heat_column(g, x % n, k)
     assert abs(inner(col, GraphFunction(g, np.ones(n))) - 1.0) < 1e-12
 
 
@@ -928,7 +944,7 @@ def test_property_chebyshev_power_matches_plain_loop(n, seed, eps, x, k):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(u))
     delta = graph_delta(x % n, g).values
     want = plain_power(lambda v: g.wmul(v / deg), delta, k)
-    got = heat_column(g, x % n, k).values.values
+    got = heat_column(g, x % n, k).values
     assert np.max(np.abs(got - want)) <= 1e-12 * n
 
 
@@ -943,7 +959,7 @@ def test_property_short_powers_are_the_plain_loop(n, seed, eps, x, k):
     assert np.array_equal(heat_convolve(g, k, u).values,
                           plain_power(lambda v: g.wmul(v) / deg, u, k))
     delta = graph_delta(x % n, g).values
-    assert np.array_equal(heat_column(g, x % n, k).values.values,
+    assert np.array_equal(heat_column(g, x % n, k).values,
                           plain_power(lambda v: g.wmul(v / deg), delta, k))
 
 
@@ -965,7 +981,7 @@ def test_chebyshev_power_mass_and_commutation(monkeypatch):
     g = small_graph(n=150, eps=0.3)
     k = 300
     calls = counting_wmul(g, monkeypatch)
-    col = heat_column(g, 3, k).values
+    col = heat_column(g, 3, k)
     assert len(calls) < k
     assert abs(inner(col, GraphFunction(g, np.ones(g.n))) - 1.0) < 1e-12
     u = GraphFunction(g, np.random.default_rng(5).normal(size=g.n))
