@@ -58,9 +58,8 @@ def _cmd_sample(args):
         kernel = make_kernel(args.kernel, domain.d)
         g = build_graph(pts, args.eps, kernel, seed=args.seed)
         save_graph(g, args.graph_out)
-        i, j, _ = g.edge_arrays()  # undirected edges: the entries with i < j
-        print("wrote %s (edges=%d, connected=%s)"
-              % (args.graph_out, np.count_nonzero(i < j), g.connected))
+        # undirected edges: the stored upper triangle, which save_graph has built
+        print("wrote %s (edges=%d, connected=%s)" % (args.graph_out, g._upper.nnz, g.connected))
     return 0
 
 
@@ -80,12 +79,10 @@ def _cmd_solve(args):
 
 def _cmd_heat(args):
     g = load_graph(args.graph)
-    txt = args.center.replace(",", " ")
-    parts = txt.split()
-    if len(parts) == 1 and "." not in parts[0]:
-        center = int(parts[0])
-    else:
-        center = np.array([float(p) for p in parts])
+    try:  # a node index if int() reads the text, else a point
+        center = int(args.center)
+    except ValueError:
+        center = np.array([float(p) for p in args.center.replace(",", " ").split()])
     col = heat_column(g, center, args.k).values
     _write_nodes(args.out, col)
     print("wrote %s (k=%d, mass=%.17g)" % (args.out, args.k, float(np.mean(col))))

@@ -241,7 +241,7 @@ class Graph:
     ----------
     points : (n,d) array
         Node coordinates.
-    upper : scipy sparse matrix or CSR triple (data, indices, indptr)
+    upper : scipy sparse matrix, CSR triple (data, indices, indptr) or (data, (i, j))
         Strict upper-triangular weights, one entry per undirected edge; an
         entry on or below the diagonal raises ValueError.  A canonical CSR
         matrix or triple (sorted indices, no duplicates) keeps its data and
@@ -298,15 +298,20 @@ class Graph:
         import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
 
         W = sparse.coo_matrix(W)
-        if (abs(W - W.T) > 0).nnz != 0:
-            raise ValueError("weight matrix must be symmetric")
-        n = W.shape[0]
-        diag = np.zeros(n)
-        mask = W.row == W.col
-        np.add.at(diag, W.row[mask], W.data[mask])
-        keep = W.row < W.col
-        upper = sparse.coo_matrix((W.data[keep], (W.row[keep], W.col[keep])), shape=(n, n))
-        return cls(points, upper, diag, eps, kernel=kernel, sigma_eta=sigma_eta, seed=seed)
+        if W.shape[0] != len(points) or (abs(W - W.T) > 0).nnz != 0:
+            raise ValueError("weight matrix must be symmetric, with one row per point")
+        keep = W.row <= W.col
+        return cls._from_entries(points, W.row[keep], W.col[keep], W.data[keep], eps,
+                                 kernel=kernel, sigma_eta=sigma_eta, seed=seed)
+
+    @classmethod
+    def _from_entries(cls, points, i, j, w, eps, kernel=None, sigma_eta=None, seed=None):
+        """Build a graph from entries (i, j, w) with i <= j: the self-weights
+        where i == j (repeats summed), the strict upper triangle elsewhere."""
+        on = i == j
+        diag = np.bincount(i[on], w[on], minlength=len(points))
+        return cls(points, (w[~on], (i[~on], j[~on])), diag, eps,
+                   kernel=kernel, sigma_eta=sigma_eta, seed=seed)
 
     @property
     def n(self):
@@ -459,9 +464,6 @@ class GraphFunction:
         self.graph = graph
         self.values = values
 
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
-
 
 def _check_same_graph(*funcs):
     g = funcs[0].graph
@@ -511,11 +513,18 @@ def weighted_mean(u):
     return float(g.degrees @ u.values) / total
 
 
+def _node_index(g, x):
+    """x as a node of g: an integer or a whole float in range(g.n), else an
+    IndexError that names x (a bool, a fraction or a non-finite value too)."""
+    a = np.asarray(x)
+    if a.ndim == 0 and a.dtype.kind in "iuf" and float(a).is_integer() and 0 <= a < g.n:
+        return int(a)
+    raise IndexError("node index %s out of range(%d)" % (x, g.n))
+
+
 def graph_delta(x, g):
     """Graph delta at node x: value n at x and 0 elsewhere, so <delta_x, u> = u(x)."""
-    x = int(x)
-    if not 0 <= x < g.n:
-        raise IndexError("node index %d out of range for n=%d" % (x, g.n))
+    x = _node_index(g, x)
     v = np.zeros(g.n)
     v[x] = g.n
     return GraphFunction(g, v)
@@ -641,7 +650,6 @@ def load_graph(path):
     A relative ``points=`` path in the sidecar is resolved against the
     directory of the graph file; an absolute one is used as is.
     """
-    import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
     from .geometry import load_points, make_kernel  # deferred: geometry imports this module
 
     meta = {}
@@ -662,14 +670,15 @@ def load_graph(path):
         raise ValueError("points file shape %r does not match metadata (n=%d, d=%d)"
                          % (points.shape, n, d))
     raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if raw.size == 0:
-        raw = raw.reshape(0, 3)
-    i = raw[:, 0].astype(np.int64)
-    j = raw[:, 1].astype(np.int64)
-    w = raw[:, 2]
-    diag = np.zeros(n)
-    mask = i == j
-    np.add.at(diag, i[mask], w[mask])
-    upper = sparse.coo_matrix((w[~mask], (i[~mask], j[~mask])), shape=(n, n))
+    if raw.size and raw.shape[1] != 3:
+        raise ValueError("%s: edge rows are i,j,w, not %d fields" % (path, raw.shape[1]))
+    i, j, w = raw.reshape(-1, 3).T
+    ok = (np.trunc(i) == i) & (np.trunc(j) == j) & (0 <= i) & (i <= j) & (j < n)
+    if not ok.all():
+        r = int(np.argmin(ok))
+        raise ValueError("%s data row %d: (i, j) = (%g, %g) is not two nodes i <= j < %d; "
+                         "only self-weights lie on or below the diagonal"
+                         % (path, r + 1, i[r], j[r], n))
     kernel = make_kernel(meta["kernel"], d) if meta.get("kernel") else None
-    return Graph(points, upper, diag, eps, kernel=kernel, sigma_eta=sigma_eta, seed=seed)
+    return Graph._from_entries(points, i.astype(np.int64), j.astype(np.int64), w, eps,
+                               kernel=kernel, sigma_eta=sigma_eta, seed=seed)

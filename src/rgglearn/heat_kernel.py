@@ -33,8 +33,8 @@ MAX_HEAT_STEPS = 10**6
 
 
 def _step_count(k, lo=0):
-    """int(k); ValueError unless k is a whole number in [lo, MAX_HEAT_STEPS]."""
-    if not (lo <= k <= MAX_HEAT_STEPS and k == int(k)):
+    """int(k); ValueError unless k is a whole number in [lo, MAX_HEAT_STEPS], not a bool."""
+    if isinstance(k, (bool, np.bool_)) or not (lo <= k <= MAX_HEAT_STEPS and k == int(k)):
         raise ValueError("step count k must be a whole number in [%d, %d], got %r"
                          % (lo, MAX_HEAT_STEPS, k))
     return int(k)

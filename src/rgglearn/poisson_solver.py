@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import closest_point
-from .graph_core import GraphFunction
+from .graph_core import GraphFunction, _node_index
 
 
 class SourceSpec:
@@ -246,19 +246,12 @@ def solve_graph_poisson(g, s, tol=1e-10):
     return GraphFunction(g, x), report
 
 
-def _label_node(g, node):
-    node = int(node)
-    if not 0 <= node < g.n:
-        raise IndexError("label node %d out of range" % node)
-    return node
-
-
 def _collect_labels(g, labels):
     if not labels:
         raise ValueError("label set is empty")
     seen = {}
     for node, value in labels:
-        node, value = _label_node(g, node), float(value)
+        node, value = _node_index(g, node), float(value)
         if not np.isfinite(value):
             raise ValueError("label value %r at node %d is not finite" % (value, node))
         if node in seen and seen[node] != value:
@@ -326,7 +319,7 @@ def pwll_gamma(g, label_nodes, tol=1e-10):
     nonempty label set, then shifts so min gamma = 1.  tol > 0 is the
     relative residual target; a node outside range(g.n) raises IndexError.
     """
-    nodes = sorted(set(_label_node(g, z) for z in label_nodes))
+    nodes = sorted(set(_node_index(g, z) for z in label_nodes))
     _check_poisson_graph(g)  # a bad graph is reported before an empty label set
     if not nodes:
         raise ValueError("label set is empty")

@@ -217,3 +217,25 @@ def test_override_parsing_errors(tmp_path):
     with pytest.raises(SystemExit):
         main(["solve", "--graph", "g", "--sources", "s",
               "--out", "u", "--bogus", "1"])
+
+
+def test_experiment_prints_the_slope_of_four_rungs(tmp_path, capsys):
+    rc = main(["converge", "--run.outdir", str(tmp_path / "run"), "--run.seeds", "1",
+               "--ladder.eps", "0.3 0.26 0.22 0.19", "--ladder.n_const", "300",
+               "--ladder.n_power", "0"])
+    assert rc == 0
+    assert re.search(r"^slope \S+ \(half band \S+\)$", capsys.readouterr().out, re.M)
+
+
+def test_heat_center_tokens(tmp_path):
+    # one token that int() reads is a node; 5e-1 is the point 0.5 on a line
+    gfile = tmp_path / "g.csv"
+    main(["sample", "--box", "0", "1", "--n", "200", "--eps", "0.1", "--seed", "3",
+          "--out", str(tmp_path / "p.csv"), "--graph-out", str(gfile)])
+    g = load_graph(str(gfile))
+    for token, center in (("7", 7), ("5e-1", np.array([0.5])), ("0.5", np.array([0.5]))):
+        out = tmp_path / "col.csv"
+        assert main(["heat", "--graph", str(gfile), "--center", token, "--k", "3",
+                     "--out", str(out)]) == 0
+        vals = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+        assert np.array_equal(vals, heat_column(g, center, 3).values), token

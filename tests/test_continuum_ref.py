@@ -375,3 +375,11 @@ def test_export_csv(tmp_path):
     assert float(first[4]) == 0.0
     last = lines[-1].split(",")
     assert last[0] == "3" and last[1] == "3" and float(last[4]) == 15.0
+
+
+@pytest.mark.parametrize("count", [15, 17])
+def test_grid_function_needs_one_value_per_cell(count):
+    box = Box([0, 0], [1, 1])
+    grid = build_grid(box, 0.25, make_density("constant", box))
+    with pytest.raises(ValueError, match="value count does not match the grid"):
+        GridFunction(grid, np.zeros(count))

@@ -530,3 +530,23 @@ def test_fit_slope_property(slope, logc):
 
 def test_runner_registry():
     assert set(RUNNERS) == {"converge", "mollify", "heat-asymptotics", "demo"}
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda tmp: make_config(tmp, **{"ladder.n_rule": "list", "ladder.n_list": "100"}).n_for(0.1),
+     "n_for undefined under the list rule"),
+    (lambda tmp: make_config(tmp, **{"domain.box": "0 0 1 1.0000001"}).reference_h(),
+     "no admissible reference grid step"),
+    (lambda tmp: run_heat_asymptotics(make_config(tmp, **{
+        "run.experiment": "heat-asymptotics", "ladder.k_rule": "fixed", "ladder.k": "0"})),
+     r"heat ladder needs k >= 1"),
+], ids=["n-for-list-rule", "no-reference-step", "heat-k-0"])
+def test_runner_guards(call, match, tmp_path):
+    with pytest.raises(ValueError, match=match):
+        call(tmp_path)
+
+
+def test_fit_slope_on_two_points_has_no_band():
+    slope, band = fit_slope([1.0, 2.0], [3.0, 12.0])
+    assert slope == pytest.approx(2.0, rel=1e-12)
+    assert math.isnan(band)

@@ -550,3 +550,10 @@ def test_build_graph_accepts_n_eps_d_equal_one(n, d):
     assert n * (n ** (-1.0 / d)) ** d < 1.0
     pts = np.random.default_rng(0).random((n, d))
     build_graph(pts, n ** (-1.0 / d), make_kernel("indicator", d))
+
+
+@pytest.mark.parametrize("box, h", [(unit_box(1), 1.0), (unit_box(2), 0.75)],
+                         ids=["one-cell", "one-cell-per-axis"])
+def test_cell_grid_needs_two_cells_per_axis(box, h):
+    with pytest.raises(ValueError, match="at least two cells per axis"):
+        geometry._cell_grid(box, h)

@@ -676,3 +676,139 @@ def test_cell_aggregates_cap_any_eps(eps):
     assert np.allclose(M, _dense_aggregate_weights(g, nodes, agg, m), rtol=1e-13, atol=0)
     if eps == 1e-9:  # cells doubled from 1/sqrt(nnz) of the box until they fit
         assert m > 1
+
+
+def _node_rule_graph():
+    from rgglearn.geometry import build_graph, make_kernel
+
+    pts = np.random.default_rng(2).random((60, 2))
+    return build_graph(pts, 0.3, make_kernel("cone", 2), seed=2)
+
+
+def _node_caller(name):
+    """The caller `name` that turns a node into an index, as a function of
+    (graph, node); the solvers get a second label at node 5."""
+    from rgglearn.heat_kernel import heat_column
+    from rgglearn.poisson_solver import pwll_gamma, solve_laplace_learning, solve_pwll
+
+    return {
+        "graph_delta": lambda g, x: graph_delta(x, g).values,
+        "heat_column": lambda g, x: heat_column(g, x, 3).values,
+        "laplace": lambda g, x: solve_laplace_learning(g, [(x, 1.0), (5, -1.0)]).values,
+        "pwll": lambda g, x: solve_pwll(g, [(x, 1.0), (5, -1.0)]).values,
+        "pwll_gamma": lambda g, x: pwll_gamma(g, [x, 5]).values,
+    }[name]
+
+
+_NODE_CALLERS = ["graph_delta", "heat_column", "laplace", "pwll", "pwll_gamma"]
+
+
+@pytest.mark.parametrize("bad", [2.7, True, np.nan, -1, 60], ids=str)
+@pytest.mark.parametrize("caller", _NODE_CALLERS)
+def test_nodes_that_are_not_whole_numbers_in_range_are_rejected(caller, bad):
+    # 2.7 was truncated to node 2, True read as node 1
+    call = _node_caller(caller)
+    with pytest.raises(IndexError, match="node index %s out of range" % re.escape(str(bad))):
+        call(_node_rule_graph(), bad)
+
+
+@pytest.mark.parametrize("caller", _NODE_CALLERS)
+def test_whole_number_nodes_of_any_type_are_the_same_node(caller):
+    call, g = _node_caller(caller), _node_rule_graph()
+    want = call(g, 3).tobytes()
+    for node in (np.int64(3), np.array(3), 3.0):
+        assert call(g, node).tobytes() == want, repr(node)
+
+
+@pytest.mark.parametrize("row", ["-1,-1,5", "0.5,1.7,1", "0,{n},1"])
+def test_load_graph_rejects_rows_that_are_not_node_pairs(row, tmp_path):
+    # -1,-1,5 added 5 to node n-1's self-weight; 0.5,1.7,1 was the edge (0, 1)
+    g, _ = random_graph(6, seed=3)
+    path = str(tmp_path / "g.csv")
+    save_graph(g, path)
+    rows = len(g.edge_arrays()[0])
+    with open(path, "a") as fh:
+        fh.write(row.format(n=g.n) + "\n")
+    with pytest.raises(ValueError, match=re.escape("%s data row %d" % (path, rows + 1))):
+        load_graph(path)
+
+
+@pytest.mark.parametrize("rows, fields", [("0,1\n1,2\n0,2\n", 2), ("0,1,1,7\n", 4)])
+def test_load_graph_rejects_rows_that_are_not_i_j_w(rows, fields, tmp_path):
+    # three 2-field rows would reshape into two rows of three
+    g, _ = random_graph(3, seed=3)
+    path = str(tmp_path / "g.csv")
+    save_graph(g, path)
+    with open(path, "w") as fh:
+        fh.write("i,j,w\n" + rows)
+    with pytest.raises(ValueError, match="edge rows are i,j,w, not %d fields" % fields):
+        load_graph(path)
+
+
+_EDGELESS = Graph(_PAIR, sparse.csr_matrix((2, 2)), np.zeros(2), 1.0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Graph(np.zeros(3), sparse.csr_matrix((3, 3)), np.ones(3), 1.0),
+     r"points must be a 2-d array"),
+    (lambda: Graph.from_weights(_PAIR, np.eye(3), 1.0), "symmetric, with one row per point"),
+    (lambda: _EDGELESS.sigma_eta, "graph has no sigma_eta"),
+    (lambda: _EDGELESS.reweighted(np.ones(3)), "factor length mismatch"),
+    (lambda: weighted_mean(GraphFunction(_EDGELESS, np.ones(2))), "zero total degree"),
+    (lambda: laplacian_apply(GraphFunction(_EDGELESS, np.ones(2)), LaplacianKind.RandomWalk),
+     "zero-degree node"),
+    (lambda: laplacian_apply(GraphFunction(_EDGELESS, np.ones(2)), "random_walk"),
+     "unknown LaplacianKind"),
+], ids=["points-not-2d", "weight-matrix-size", "no-sigma-eta", "factor-length",
+        "zero-total-degree", "zero-degree-node", "unknown-kind"])
+def test_graph_function_guards(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def _round_trip_graph(kind, n, seed, eps):
+    from rgglearn.geometry import build_graph, make_kernel
+
+    rng = np.random.default_rng(seed)
+    if kind == "window":  # d = 1 indicator: W applied from windows, not a CSR
+        g = build_graph(rng.random((n, 1)), eps, make_kernel("indicator", 1), seed=seed)
+        assert g._windows is not None
+        return g
+    if kind == "edgeless":  # the edge file is its header alone
+        return Graph(rng.random((n, 2)), sparse.csr_matrix((n, n)), np.zeros(n), eps,
+                     sigma_eta=0.5, seed=seed)
+    g = build_graph(rng.random((n, 2)), max(eps, n ** -0.5), make_kernel("cone", 2), seed=seed)
+    if kind == "zero-factor":  # stored zero weights on every edge of one node
+        f = 1.0 + rng.random(n)
+        f[rng.integers(n)] = 0.0
+        g = g.reweighted(f)
+    return g
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
+@settings(max_examples=30)
+@given(kind=st.sampled_from(["window", "cone", "zero-factor", "edgeless"]),
+       n=st.integers(20, 120), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.05, 0.5))
+def test_save_load_round_trip_keeps_every_bit(kind, n, seed, eps):
+    import tempfile
+
+    g = _round_trip_graph(kind, n, seed, eps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.csv")
+        save_graph(g, path)
+        loaded = load_graph(path)
+    for a, b in zip(loaded.edge_arrays(), g.edge_arrays()):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert loaded.self_weights.tobytes() == g.self_weights.tobytes()
+    assert np.array_equal(loaded.component_labels(), g.component_labels())
+    assert (loaded.eps.hex(), loaded.sigma_eta.hex(), loaded.seed) == (
+        g.eps.hex(), g.sigma_eta.hex(), g.seed)
+    if g._windows is None:
+        assert loaded.degrees.tobytes() == g.degrees.tobytes()
+    else:
+        # the loaded graph sums W's rows from its CSR, as the saved one would
+        # from its own; the window sums are within the bound of the module
+        # docstring
+        upper, one = g._upper, np.ones(g.n)
+        assert loaded.degrees.tobytes() == (upper @ one + upper.T @ one + g.self_weights).tobytes()
+        assert np.allclose(loaded.degrees, g.degrees, rtol=0, atol=1e-12 * g.degrees.max())

@@ -1002,3 +1002,13 @@ def test_chebyshev_coefficients():
     assert np.all(np.isfinite(c)) and c.min() >= 0.0
     assert abs(c.sum() - 1.0) < 1e-12
     assert c[0] > 0.0 and c[1] == 0.0  # x^k is even for even k
+
+
+@pytest.mark.parametrize("k", [True, np.True_, 2.5])
+def test_heat_step_count_is_a_whole_number_not_a_bool(k):
+    # heat_convolve(g, True, u) ran one step
+    g = small_graph()
+    with pytest.raises(ValueError, match="step count k must be a whole number"):
+        heat_convolve(g, k, np.ones(g.n))
+    with pytest.raises(ValueError, match="step count k must be a whole number"):
+        heat_column(g, 3, k)

@@ -237,7 +237,7 @@ def test_pwll_gamma_rejects_label_nodes_out_of_range(nodes):
     # a negative node must not wrap round to n - 1 and solve quietly
     g = small_geometric_graph(n=120, eps=0.3, seed=10)
     calls = _count_wmul(g)
-    with pytest.raises(IndexError, match="label node %d out of range" % nodes[-1]):
+    with pytest.raises(IndexError, match="node index %d out of range" % nodes[-1]):
         pwll_gamma(g, nodes)
     assert calls == []
 
