@@ -16,7 +16,7 @@ from .geometry import (
     sample_points,
     save_points,
 )
-from .graph_core import _write_columns, load_graph, save_graph
+from .graph_core import _write_columns, _write_nodes, load_graph, save_graph
 from .poisson_solver import SourceSpec, solve_graph_poisson
 from .heat_kernel import heat_column, psi_table
 from .continuum_ref import build_grid, save_grid_solution, solve_weighted_poisson
@@ -40,10 +40,6 @@ def _load_sources(path, domain=None):
     if arr.shape[1] < 2:
         raise SystemExit("sources CSV needs columns x0,...,a")
     return SourceSpec(arr[:, :-1], arr[:, -1], domain)
-
-
-def _write_nodes(path, values):
-    _write_columns(path, "node,value", (np.arange(len(values)), values), ("%d", "%.17g"))
 
 
 def _cmd_sample(args):

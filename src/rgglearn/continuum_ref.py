@@ -146,9 +146,9 @@ def build_grid(domain, h, density):
     return ReferenceGrid(domain, h, density)
 
 
-def _deposit(grid, s):
+def _deposit(grid, anchors, coefficients):
     b = np.zeros(grid.shape)
-    for x, a in zip(s.anchors, s.coefficients):
+    for x, a in zip(anchors, coefficients):
         if not grid.domain.contains(np.asarray(x, dtype=float)):
             raise ValueError("source anchor outside the domain")
         b[grid.cell_of(x)] += a / grid.h**grid.d
@@ -176,7 +176,7 @@ def solve_weighted_poisson(grid, f, tol=1e-10):
     """
     hd = grid.h**grid.d
     if isinstance(f, SourceSpec):
-        b = _deposit(grid, f)
+        b = _deposit(grid, f.anchors, f.coefficients)
     else:
         b = np.asarray(f.values, dtype=float).reshape(grid.shape)
     # a non-finite b sums to inf or NaN, which passes this check quietly;
@@ -202,10 +202,7 @@ def greens_function(grid, y, tol=1e-10):
     y = np.asarray(y, dtype=float)
     if not grid.domain.contains(y):
         raise ValueError("pole outside the domain")
-    hd = grid.h**grid.d
-    b = np.zeros(grid.shape)
-    b[grid.cell_of(y)] = 1.0 / hd
-    b -= grid.rho2 / (grid.rho2.sum() * hd)
+    b = _deposit(grid, [y], [1.0]) - grid.rho2 / (grid.rho2.sum() * grid.h**grid.d)
     return solve_weighted_poisson(grid, GridFunction(grid, b), tol=tol)
 
 

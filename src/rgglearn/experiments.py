@@ -23,7 +23,7 @@ from .geometry import (
     make_kernel,
     sample_points,
 )
-from .graph_core import _write_columns, pnorm, weighted_mean
+from .graph_core import _write_nodes, pnorm, weighted_mean
 from .poisson_solver import (
     SourceSpec,
     solve_graph_poisson,
@@ -563,9 +563,7 @@ def demo_two_point(config):
         rec.residual = report.residual
 
         for name, f in (("laplace", lap), ("poisson", poi), ("pwll", pw)):
-            # a NaN value is an empty field, as in results.csv (_fmt)
-            _write_columns(os.path.join(cfg.outdir, name + ".csv"), "node,value",
-                           (np.arange(g.n), f.values), ("%d", "%.17g"), nan="")
+            _write_nodes(os.path.join(cfg.outdir, name + ".csv"), f.values)
         meta.append("laplace band half-width = %.17g (0.05 * gap)" % (0.05 * gap))
 
     return _run_jobs(cfg, [(eps, n, [cfg.k])], measure, meta, seeds=1)

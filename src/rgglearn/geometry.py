@@ -502,19 +502,22 @@ def _window_starts(xs, eps):
 
 
 def _windows(points, eps, kernel):
-    """The window form of the d = 1 indicator graph (see graph_core._Windows).
+    """The window form of the d = 1 indicator graph (see graph_core._Windows),
+    or None for any other graph: the one rule behind build_graph and load_graph.
 
     Sorted point p is joined to the sorted points in [lo[p], hi[p]), each
     with the one weight eta_eps(0); the windows hold exactly the pairs that
-    _upper_triangle keeps, and its CSR is built from them only on demand.
+    _upper_triangle keeps.
     """
+    if points.shape[1] != 1 or getattr(kernel, "name", None) != "indicator":
+        return None
     order = np.argsort(points[:, 0], kind="stable")
     xs = points[order, 0]
     lo = _window_starts(xs, eps)
     # the ends are the starts of the mirrored list -xs[::-1]; negation is exact
     hi = xs.size - _window_starts(-xs[::-1], eps)[::-1]
     c = kernel.eta_eps(np.zeros(1), eps)[0]
-    return _Windows(order, lo, hi, c, functools.partial(_upper_triangle, points, eps, kernel))
+    return _Windows(order, lo, hi, c)
 
 
 def build_graph(points, eps, kernel, seed=None):
@@ -575,10 +578,7 @@ def build_graph(points, eps, kernel, seed=None):
         raise ValueError("n * eps^d = %.3g < 1; graph too sparse to be meaningful"
                          % (n * eps**d,))
 
-    if d == 1 and kernel.name == "indicator":
-        upper = _windows(points, eps, kernel)
-    else:
-        upper = _upper_triangle(points, eps, kernel)
+    upper = _windows(points, eps, kernel) or _upper_triangle(points, eps, kernel)
     diag = np.full(n, eps ** (-d) * kernel.eta0)
     return Graph(points, upper, diag, eps, kernel=kernel, seed=seed)
 

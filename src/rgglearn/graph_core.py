@@ -21,7 +21,7 @@ made:
   take the serial path.  Both paths do the same floating-point operations
   in the same order, so W u is bit-identical either way, and no matrix is
   stored twice.
-- Windows (``build_graph`` with d = 1 and the indicator kernel).  Every
+- Windows (d = 1 and the indicator kernel; ``geometry._windows``).  Every
   edge has the one weight c, and with the points sorted the neighbours of
   a point are a window [lo, hi) of consecutive sorted points, so
   (W u)_i = c (sum of u over the window - u_i) + w_ii u_i: a difference of
@@ -34,16 +34,17 @@ made:
   prefix sum over all n points would replace B by n.  Measured at
   n = 40000, B = 284, on a positive u (where prefix sums only grow), the
   gap to the CSR product is 5.0e-13 c ||u||_inf with blocks and 4.8e-11
-  over all n.  The CSR upper triangle of such a graph is built from the
-  points only when something reads it (``reweighted``, ``weight_matrix``,
-  ``edge_arrays``, ``save_graph``, ``Graph._cell_aggregates``), and
-  connectivity comes from the windows.
+  over all n.  ``Graph._upper`` builds the CSR upper triangle of such a
+  graph from its points, eps and kernel only when something reads it
+  (``reweighted``, ``weight_matrix``, ``edge_arrays``, ``save_graph``,
+  ``Graph._cell_aggregates``), and connectivity comes from the windows.
 """
 
 import enum
 import math
 import os
 import threading
+import warnings
 
 import numpy as np
 
@@ -159,8 +160,7 @@ class _Windows:
     order sorts the nodes; sorted node p is joined with the one weight c > 0
     to each other sorted node in [lo[p], hi[p]).  Windows must be symmetric
     (q in p's window exactly when p is in q's), as they are for an
-    eps-graph on the line.  build() returns the CSR arrays (w, j, indptr)
-    of the same strict upper triangle.
+    eps-graph on the line.
 
     The prefix sums of the sorted u sit in a padded (nb, B + 1) array Q,
     one row per block of B sorted nodes (B the longest window), with
@@ -172,8 +172,8 @@ class _Windows:
     indices per node are computed here once.
     """
 
-    def __init__(self, order, lo, hi, c, build):
-        self.order, self.lo, self.hi, self.c, self.build = order, lo, hi, c, build
+    def __init__(self, order, lo, hi, c):
+        self.order, self.lo, self.hi, self.c = order, lo, hi, c
         self.block = block = int(np.max(hi - lo))
         self.nblocks = -(-order.size // block)
         stride = block + 1
@@ -246,8 +246,8 @@ class Graph:
         entry on or below the diagonal raises ValueError.  A canonical CSR
         matrix or triple (sorted indices, no duplicates) keeps its data and
         indices arrays, without a copy; other input is converted to one.
-        ``build_graph`` passes its private window form here instead for
-        d = 1 indicator graphs.
+        ``build_graph`` and ``load_graph`` pass the private window form here
+        instead for d = 1 indicator graphs.
     diag : (n,) array
         Self-weights w_xx.
     eps : float
@@ -341,14 +341,17 @@ class Graph:
         if self._csr is None:
             import scipy.sparse as sparse  # deferred: scipy.sparse is slow to import
 
-            self._csr = sparse.csr_matrix(self._windows.build(), shape=(self.n, self.n))
+            from .geometry import _upper_triangle  # deferred: geometry imports this module
+
+            self._csr = sparse.csr_matrix(_upper_triangle(self.points, self.eps, self.kernel),
+                                          shape=(self.n, self.n))
         return self._csr
 
     def wmul(self, u):
         """Apply the full symmetric weight matrix W to a vector.
 
         u must have shape (n,); any other shape raises ValueError.  A d = 1
-        indicator graph from ``build_graph`` returns
+        indicator graph returns
         c (window sum - u) + diag*u from block-local prefix sums of the
         sorted u (see the module docstring, which bounds its gap to the CSR
         product by about 4 B^2 2^-53 c ||u||_inf, B the longest window).
@@ -392,14 +395,10 @@ class Graph:
     def edge_arrays(self):
         """Stored entries as (i, j, w) with i <= j, row-major order."""
         coo = self._upper.tocoo()
-        i = coo.row
-        j = coo.col
-        w = coo.data
-        keep = self._diag > 0
-        di = np.nonzero(keep)[0]
-        i = np.concatenate([i, di])
-        j = np.concatenate([j, di])
-        w = np.concatenate([w, self._diag[keep]])
+        di = np.flatnonzero(self._diag > 0)
+        i = np.concatenate([coo.row, di])
+        j = np.concatenate([coo.col, di])
+        w = np.concatenate([coo.data, self._diag[di]])
         order = np.lexsort((j, i))
         return i[order], j[order], w[order]
 
@@ -596,14 +595,13 @@ def energy_discrete(u, f):
 _CSV_ROWS_PER_BLOCK = 4096
 
 
-def _write_columns(path, header, columns, fmt, nan="nan"):
+def _write_columns(path, header, columns, fmt):
     """Write equal-length numeric arrays as CSV columns under a one-line header.
 
     The one table writer behind the points, graph, node-value, psi and grid
     files.  Row i is ``",".join(fmt) % (columns[0][i], columns[1][i], ...)``:
     one printf format per column, as for ``np.savetxt``, so ``"%.17g"``
-    round-trips every float64.  printf writes a NaN as ``nan``; the text
-    `nan` replaces it (``""`` leaves the field empty).  Columns are
+    round-trips every float64.  Columns are
     formatted as Python scalars (``tolist()``) in blocks of rows, which is
     about twice as fast as ``np.savetxt``'s NumPy scalars and keeps the
     transient memory small for any row count.
@@ -613,8 +611,12 @@ def _write_columns(path, header, columns, fmt, nan="nan"):
         fh.write(header + "\n")
         for lo in range(0, len(columns[0]), _CSV_ROWS_PER_BLOCK):
             block = [c[lo:lo + _CSV_ROWS_PER_BLOCK].tolist() for c in columns]
-            text = "".join(line % row for row in zip(*block))
-            fh.write(text if nan == "nan" else text.replace("nan", nan))
+            fh.write("".join(line % row for row in zip(*block)))
+
+
+def _write_nodes(path, values):
+    """Write one value per node as the CSV ``node,value``."""
+    _write_columns(path, "node,value", (np.arange(len(values)), values), ("%d", "%.17g"))
 
 
 def save_graph(g, path):
@@ -648,28 +650,27 @@ def load_graph(path):
     """Load a graph written by save_graph.
 
     A relative ``points=`` path in the sidecar is resolved against the
-    directory of the graph file; an absolute one is used as is.
+    directory of the graph file; an absolute one is used as is.  A d = 1
+    indicator graph whose edges are those of ``build_graph`` (one kd-tree
+    search checks) takes the window form, any other the file's CSR.
     """
-    from .geometry import load_points, make_kernel  # deferred: geometry imports this module
+    from . import geometry  # deferred: geometry imports this module
 
-    meta = {}
     with open(path + ".meta") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and "=" in line:
-                key, val = line.split("=", 1)
-                meta[key] = val
+        meta = dict(line.strip().split("=", 1) for line in fh if "=" in line)
     n = int(meta["n"])
     d = int(meta["d"])
     eps = float(meta["eps"])
     sigma_eta = float(meta["sigma_eta"])
     seed = int(meta["seed"]) if meta.get("seed") else None
     pts_path = os.path.join(os.path.dirname(path), meta["points"])
-    points = load_points(pts_path)
+    points = geometry.load_points(pts_path)
     if points.shape != (n, d):
         raise ValueError("points file shape %r does not match metadata (n=%d, d=%d)"
                          % (points.shape, n, d))
-    raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # a header-only file holds a graph with no edges
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        raw = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if raw.size and raw.shape[1] != 3:
         raise ValueError("%s: edge rows are i,j,w, not %d fields" % (path, raw.shape[1]))
     i, j, w = raw.reshape(-1, 3).T
@@ -679,6 +680,12 @@ def load_graph(path):
         raise ValueError("%s data row %d: (i, j) = (%g, %g) is not two nodes i <= j < %d; "
                          "only self-weights lie on or below the diagonal"
                          % (path, r + 1, i[r], j[r], n))
-    kernel = make_kernel(meta["kernel"], d) if meta.get("kernel") else None
-    return Graph._from_entries(points, i.astype(np.int64), j.astype(np.int64), w, eps,
-                               kernel=kernel, sigma_eta=sigma_eta, seed=seed)
+    kernel = geometry.make_kernel(meta["kernel"], d) if meta.get("kernel") else None
+    g = Graph._from_entries(points, i.astype(np.int64), j.astype(np.int64), w, eps,
+                            kernel=kernel, sigma_eta=sigma_eta, seed=seed)
+    windows = geometry._windows(g.points, g.eps, kernel)
+    upper = g._csr.data, g._csr.indices, g._csr.indptr
+    if windows and all(map(np.array_equal, upper,
+                           geometry._upper_triangle(g.points, g.eps, kernel))):
+        g = Graph(g.points, windows, g.self_weights, g.eps, kernel, sigma_eta, seed)
+    return g

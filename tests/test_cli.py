@@ -5,8 +5,10 @@ import pytest
 
 from rgglearn.cli import main
 from rgglearn.experiments import RUNNERS, RunResult
-from rgglearn.graph_core import load_graph
+from rgglearn.geometry import build_graph, load_points, make_kernel
+from rgglearn.graph_core import _write_nodes, load_graph
 from rgglearn.heat_kernel import heat_column
+from rgglearn.poisson_solver import SourceSpec, solve_graph_poisson
 
 
 def read_lines(path):
@@ -73,6 +75,26 @@ def test_solve_and_heat(tmp_path):
     # point-mode center
     assert main(["heat", "--graph", str(gfile), "--center", "0.5 0.5",
                  "--k", "3", "--out", str(tmp_path / "col2.csv")]) == 0
+
+
+def test_saved_window_graph_solves_and_smooths_as_built(tmp_path):
+    # a saved d = 1 indicator graph loads back onto its windows, so solve and
+    # heat give bit for bit what the graph built in memory gives
+    gfile = str(tmp_path / "g.csv")
+    assert main(["sample", "--box", "0", "1", "--n", "2000", "--eps", "0.02", "--seed", "4",
+                 "--out", str(tmp_path / "p.csv"), "--graph-out", gfile]) == 0
+    g = build_graph(load_points(str(tmp_path / "p.csv")), 0.02, make_kernel("indicator", 1))
+    src = tmp_path / "src.csv"
+    src.write_text("x0,a\n0.3,1\n0.7,-1\n")
+    assert main(["solve", "--graph", gfile, "--sources", str(src),
+                 "--out", str(tmp_path / "u.csv")]) == 0
+    u, _ = solve_graph_poisson(g, SourceSpec([[0.3], [0.7]], [1.0, -1.0]), tol=1e-10)
+    _write_nodes(tmp_path / "want.csv", u.values)
+    assert (tmp_path / "u.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert main(["heat", "--graph", gfile, "--center", "100", "--k", "200",
+                 "--out", str(tmp_path / "col.csv")]) == 0
+    col = np.loadtxt(tmp_path / "col.csv", delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(col, heat_column(g, 100, 200).values)
 
 
 def test_psi_table(tmp_path):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from rgglearn import graph_core
-from rgglearn.cli import _write_nodes, main
+from rgglearn.cli import main
 from rgglearn.continuum_ref import GridFunction, build_grid, save_grid_solution
-from rgglearn.experiments import _fmt
 from rgglearn.geometry import Box, build_graph, make_density, make_kernel, save_points
-from rgglearn.graph_core import _write_columns, save_graph
+from rgglearn.graph_core import _write_columns, _write_nodes, save_graph
 from rgglearn.heat_kernel import psi_table
 
 AWKWARD = np.array([np.nan, -0.0, 0.0, 1e-300, 5e-324, np.inf, -np.inf,
@@ -51,13 +50,6 @@ def test_point_and_node_writers(tmp_path, block_rows):
     _write_nodes(tmp_path / "n.csv", AWKWARD)
     assert read(tmp_path / "n.csv") == reference(
         "node,value", enumerate(AWKWARD), "%d,%.17g\n")
-    # the demo node files write NaN as an empty field, as _fmt does
-    _write_columns(tmp_path / "d.csv", "node,value",
-                   (np.arange(AWKWARD.size), AWKWARD), ("%d", "%.17g"), nan="")
-    want = reference("node,value", ((i, _fmt(v)) for i, v in enumerate(AWKWARD)),
-                     "%d,%s\n")
-    assert read(tmp_path / "d.csv") == want
-    assert want.startswith(b"node,value\n0,\n1,-0\n")
 
 
 def test_graph_grid_and_psi_writers(tmp_path, block_rows):

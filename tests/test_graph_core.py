@@ -785,7 +785,6 @@ def _round_trip_graph(kind, n, seed, eps):
     return g
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data:UserWarning")
 @settings(max_examples=30)
 @given(kind=st.sampled_from(["window", "cone", "zero-factor", "edgeless"]),
        n=st.integers(20, 120), seed=st.integers(0, 2**31 - 1), eps=st.floats(0.05, 0.5))
@@ -803,12 +802,32 @@ def test_save_load_round_trip_keeps_every_bit(kind, n, seed, eps):
     assert np.array_equal(loaded.component_labels(), g.component_labels())
     assert (loaded.eps.hex(), loaded.sigma_eta.hex(), loaded.seed) == (
         g.eps.hex(), g.sigma_eta.hex(), g.seed)
-    if g._windows is None:
-        assert loaded.degrees.tobytes() == g.degrees.tobytes()
+    assert loaded.degrees.tobytes() == g.degrees.tobytes()
+    # a saved window graph loads back onto its windows, so W is applied
+    # by the same sums
+    assert (loaded._windows is not None) == (kind == "window")
+    u = np.random.default_rng(seed).standard_normal(g.n)
+    assert loaded.wmul(u).tobytes() == g.wmul(u).tobytes()
+
+
+@pytest.mark.parametrize("edit", ["delete-edge", "change-weight"])
+def test_edited_window_graph_file_loads_as_written(edit, tmp_path):
+    # a d = 1 indicator file whose edges are not build_graph's keeps them
+    g = _window_graph(300, 0.02, seed=9)
+    path = tmp_path / "g.csv"
+    save_graph(g, str(path))
+    i, j, w = g.edge_arrays()
+    r = int(np.flatnonzero(i != j)[100])  # an edge, not a self-weight
+    lines = path.read_text().splitlines(keepends=True)
+    if edit == "delete-edge":
+        del lines[r + 1]  # data row r follows the header
+        i, j, w = np.delete(i, r), np.delete(j, r), np.delete(w, r)
     else:
-        # the loaded graph sums W's rows from its CSR, as the saved one would
-        # from its own; the window sums are within the bound of the module
-        # docstring
-        upper, one = g._upper, np.ones(g.n)
-        assert loaded.degrees.tobytes() == (upper @ one + upper.T @ one + g.self_weights).tobytes()
-        assert np.allclose(loaded.degrees, g.degrees, rtol=0, atol=1e-12 * g.degrees.max())
+        w = w.copy()
+        w[r] *= 2.0
+        lines[r + 1] = "%d,%d,%.17g\n" % (i[r], j[r], w[r])
+    path.write_text("".join(lines))
+    loaded = load_graph(str(path))
+    assert loaded._windows is None
+    for a, b in zip(loaded.edge_arrays(), (i, j, w)):
+        assert np.array_equal(a, b)
